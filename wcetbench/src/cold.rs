@@ -23,7 +23,7 @@ const PER_ISA: usize = 24;
 const MIN_FUNCTIONS: f64 = 4.0;
 const MAX_FUNCTIONS: f64 = 128.0;
 
-/// `latency_tail_ms` percentile (~1000 ops per 20 s).
+/// `latency_tail_ms` percentile (~1100 ops per 25 s).
 const TAIL_PERCENTILE: f64 = 95.0;
 
 struct Entry {
@@ -96,7 +96,7 @@ fn replay_guidelines(tr: &mut Tracer, image: &Image, report: &AnalysisReport) {
 }
 
 pub fn run(seed: u64, seconds: f64, trace: bool) -> RunResult {
-    let (corpus, mut setup_walls) = harness::timed_setup(5, || build_corpus(seed));
+    let (corpus, setup_s) = harness::timed(|| build_corpus(seed));
     let epoch = Instant::now();
     let mut seen: Vec<Option<Seen>> = (0..corpus.len()).map(|_| None).collect();
     let mut failed = 0u64;
@@ -157,9 +157,16 @@ pub fn run(seed: u64, seconds: f64, trace: bool) -> RunResult {
         tail_percentile: TAIL_PERCENTILE,
         ..RunResult::default()
     };
-    harness::run_phases(&mut result, seconds, trace, epoch, &mut one_op);
-    setup_walls.extend(harness::timed_setup(4, || build_corpus(seed)).1);
-    result.setup_s = harness::median(&setup_walls);
+    let side_setup = || harness::timed(|| build_corpus(seed)).1;
+    harness::run_phases(
+        &mut result,
+        seconds,
+        trace,
+        epoch,
+        setup_s,
+        side_setup,
+        &mut one_op,
+    );
     let (untraced, attempted) = (result.latencies_ms.len() as u64, result.attempted);
     result.keys = (0..untraced).map(|i| i as usize % corpus.len()).collect();
     result.traced_keys = (untraced..attempted)

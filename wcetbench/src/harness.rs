@@ -183,22 +183,19 @@ pub fn median(samples: &[f64]) -> f64 {
     }
 }
 
-/// Runs `setup` `times` times and returns the last result with each
-/// run's wall time in seconds. In-process workloads time more set-ups
-/// after the measured phase, so the median they report samples the host
-/// at both ends of the run rather than in one burst: on a shared host,
-/// speed shifts for seconds at a time.
-pub fn timed_setup<T>(times: usize, mut setup: impl FnMut() -> T) -> (T, Vec<f64>) {
-    let mut walls = Vec::with_capacity(times);
-    let mut last = None;
-    for _ in 0..times {
-        // Drop the previous result first, so each set-up starts clean.
-        drop(last.take());
-        let t = Instant::now();
-        last = Some(setup());
-        walls.push(t.elapsed().as_secs_f64());
-    }
-    (last.expect("at least one set-up"), walls)
+/// Set-ups per run, and slices of the untraced measured phase. The first
+/// set-up builds the run's state; each later one is a side set-up, timed
+/// and thrown away before the next slice. `setup_s` is their median.
+/// Host speed on a shared machine shifts for seconds at a time, so
+/// set-ups timed back to back all sample one moment, while set-ups spread
+/// over the run sample the same mix of moments the measured phase does.
+pub const SETUPS: usize = 6;
+
+/// Runs `f` and returns its result with its wall time in seconds.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
 }
 
 /// Program shape totals, which must repeat exactly for a given seed.
@@ -242,7 +239,8 @@ pub struct RunResult {
     pub traced_ops: u64,
     pub overestimate: f64,
     pub peak_rss_mb: f64,
-    pub setup_s: f64,
+    /// Wall time of each set-up, in seconds, in the order they ran.
+    pub setup_walls: Vec<f64>,
     pub shapes: Shapes,
     /// Per-layer values the workload computes itself (counts, ratios);
     /// span-derived layers are added from `spans`.
@@ -272,19 +270,38 @@ fn closed_loop(
 }
 
 /// The measured phases of an in-process workload: `seconds` untraced, or,
-/// for a traced run, half untraced and half traced. Op indices continue
-/// from one phase into the next; fills the latency, op-count, peak-RSS,
-/// and span fields of `result`.
+/// for a traced run, half untraced and half traced. The untraced phase
+/// runs in [`SETUPS`] slices with a `side_setup` (which returns its wall
+/// time) before each slice but the first; `first_setup_s` is the wall
+/// time of the set-up that built the run's state. Op indices continue
+/// from one phase into the next; fills the latency, op-count, set-up,
+/// peak-RSS, and span fields of `result`.
 pub fn run_phases(
     result: &mut RunResult,
     seconds: f64,
     trace: bool,
     epoch: Instant,
+    first_setup_s: f64,
+    mut side_setup: impl FnMut() -> f64,
     mut op: impl FnMut(&mut Tracer, u64) -> Duration,
 ) {
     let untraced = if trace { seconds / 2.0 } else { seconds };
     let mut off = Tracer::new(false, epoch);
-    let (latencies, phase_s) = closed_loop(untraced, 0, |i| op(&mut off, i));
+    let mut setups = vec![first_setup_s];
+    let mut latencies = Vec::new();
+    let mut phase_s = 0.0;
+    for slice in 0..SETUPS {
+        if slice > 0 {
+            setups.push(side_setup());
+        }
+        let (slice_latencies, wall) =
+            closed_loop(untraced / SETUPS as f64, latencies.len() as u64, |i| {
+                op(&mut off, i)
+            });
+        latencies.extend(slice_latencies);
+        phase_s += wall;
+    }
+    result.setup_walls = setups;
     result.peak_rss_mb = peak_rss_mb(None);
     if trace {
         let mut on = Tracer::new(true, epoch);

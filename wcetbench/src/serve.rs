@@ -27,15 +27,16 @@ use crate::harness::{self, RunResult, Shapes};
 use crate::trace::Tracer;
 
 /// Programs in the request pool.
-const POOL: usize = 1200;
+const POOL: usize = 300;
 /// Zipf exponent of the request distribution over pool ranks.
-const ZIPF_S: f64 = 1.0;
+const ZIPF_S: f64 = 0.8;
 /// The most-requested programs; `wcet_overestimate` and the shape counts
 /// cover exactly these, so they do not depend on how many requests ran.
 const HOT: usize = 32;
-/// GC watermark of the daemon's artifact cache.
-const MAX_CACHE_BYTES: &str = "256k";
-const MAX_CACHE: u64 = 256 << 10;
+/// GC watermark of the daemon's artifact cache: a few dozen programs'
+/// artifacts, so first-seen requests keep triggering collections.
+const MAX_CACHE_BYTES: &str = "512k";
+const MAX_CACHE: u64 = 512 << 10;
 /// What `wcet serve --caches` analyzes with: caches, depth 0.
 const CASE: OracleCase = OracleCase {
     caches: true,
@@ -46,7 +47,7 @@ const CASE: OracleCase = OracleCase {
 };
 const SOCKET: &str = "s.sock";
 
-/// `latency_tail_ms` percentile (~6000 requests per 20 s).
+/// `latency_tail_ms` percentile (~2200 requests per 25 s).
 const TAIL_PERCENTILE: f64 = 99.0;
 
 struct Entry {
@@ -57,8 +58,10 @@ struct Entry {
 }
 
 /// Writes the pool under `work/p` and returns its request lines. Entry
-/// `i` is the Zipf rank-`i` program: 2 to 8 functions, every third one
-/// RV32I, half of them in flash.
+/// `i` is the Zipf rank-`i` program: 6 to 24 functions, every third one
+/// RV32I, half of them in flash. Requests are sized so that analysis,
+/// not the vCPU wake-ups of the daemon's pool fan-outs, dominates each
+/// round trip.
 fn write_pool(seed: u64, work: &Path) -> Vec<Entry> {
     let dir = work.join("p");
     let _ = std::fs::remove_dir_all(&dir);
@@ -75,7 +78,7 @@ fn write_pool(seed: u64, work: &Path) -> Vec<Entry> {
             };
             let shape = Shape {
                 isa,
-                functions: 2 + (i * 5) % 7,
+                functions: 6 + (i * 5) % 19,
                 flash: (i / 3) % 2 == 0,
             };
             let program = gen::generate(shape, rng.next_u64());
@@ -190,6 +193,8 @@ impl Drop for Daemon {
 /// One answered request.
 struct Sample {
     entry: usize,
+    /// When the request was sent.
+    at: Instant,
     ok: bool,
     payload: String,
 }
@@ -336,7 +341,12 @@ impl Stream<'_> {
             if let Some(replay) = replay {
                 replay.run(tr, &pool[entry]);
             }
-            samples.push(Sample { entry, ok, payload });
+            samples.push(Sample {
+                entry,
+                at: start,
+                ok,
+                payload,
+            });
             op += 1;
         }
         writer
@@ -350,7 +360,8 @@ impl Stream<'_> {
         Ok((samples, latencies))
     }
 
-    /// Runs every connection until `seconds` pass; returns the samples, the
+    /// Runs every connection until `seconds` pass, each drawing requests
+    /// from its own stream seeded by `seed`; returns the samples, the
     /// latencies, the phase wall time, and the connections' spans.
     fn phase(
         &self,
@@ -365,7 +376,7 @@ impl Stream<'_> {
         let outcomes: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..connections)
                 .map(|c| {
-                    let rng = Rng::new(seed ^ (0xc0_ffee + c as u64 + first_op));
+                    let rng = Rng::new(seed ^ (0xc0_ffee + c as u64));
                     s.spawn(move || {
                         let mut tr = Tracer::new(replay.is_some(), self.epoch);
                         let first = first_op + c as u64 * 1_000_000;
@@ -435,6 +446,22 @@ fn parse_log(lines: &[String]) -> DaemonLog {
     log
 }
 
+/// Writes the pool under `work` and starts a daemon there.
+fn setup(seed: u64, work: &Path, wcet: &Path) -> Result<(Vec<Entry>, Daemon), String> {
+    let pool = write_pool(seed, work);
+    Ok((pool, Daemon::start(wcet, work)?))
+}
+
+/// Times one set-up in `dir`, then shuts its daemon down and removes `dir`
+/// untimed.
+fn side_setup(seed: u64, dir: &Path, wcet: &Path) -> Result<f64, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let (state, wall) = harness::timed(|| setup(seed, dir, wcet));
+    state?.1.shutdown(&dir.join(SOCKET))?;
+    let _ = std::fs::remove_dir_all(dir);
+    Ok(wall)
+}
+
 pub fn run(
     seed: u64,
     seconds: f64,
@@ -443,11 +470,8 @@ pub fn run(
     wcet: &Path,
 ) -> Result<RunResult, String> {
     let socket = work.join(SOCKET);
-    let ((pool, daemon), setup_walls) = harness::timed_setup(3, || {
-        let pool = write_pool(seed, work);
-        (pool, Daemon::start(wcet, work))
-    });
-    let daemon = daemon?;
+    let (state, first_setup_s) = harness::timed(|| setup(seed, work, wcet));
+    let (pool, daemon) = state?;
     let epoch = Instant::now();
     let stream = Stream {
         socket: &socket,
@@ -455,10 +479,28 @@ pub fn run(
         zipf: Zipf::new(POOL, ZIPF_S),
         epoch,
     };
+    // The untraced phase in slices, with a side set-up before each slice
+    // but the first, as `harness::run_phases` does in-process.
     let untraced = if trace { seconds / 2.0 } else { seconds };
-    let (mut samples, latencies, phase_s, _) = stream.phase(seed, untraced, None, 0)?;
+    let mut setups = vec![first_setup_s];
+    let (mut samples, mut latencies, mut phase_s) = (Vec::new(), Vec::new(), 0.0);
+    for slice in 0..harness::SETUPS {
+        if slice > 0 {
+            setups.push(side_setup(seed, &work.join("side"), wcet)?);
+        }
+        let slice_seed = seed ^ ((slice as u64) << 40);
+        let (s, l, wall, _) = stream.phase(
+            slice_seed,
+            untraced / harness::SETUPS as f64,
+            None,
+            samples.len() as u64,
+        )?;
+        samples.extend(s);
+        latencies.extend(l);
+        phase_s += wall;
+    }
     let mut result = RunResult {
-        setup_s: harness::median(&setup_walls),
+        setup_walls: setups,
         tail_percentile: TAIL_PERCENTILE,
         ..RunResult::default()
     };
@@ -470,6 +512,15 @@ pub fn run(
             cache: work.join("replay-cache"),
             pool: Arc::new(WorkerPool::new(harness::threads())),
         };
+        // Bring the replay's cache to the state the daemon's reached over
+        // the untraced half, untimed, so each traced replay does the same
+        // mix of hits and first-seen work the daemon did for the request.
+        let mut served: Vec<&Sample> = samples.iter().collect();
+        served.sort_by_key(|s| s.at);
+        let mut quiet = Tracer::new(false, epoch);
+        for s in served {
+            replay.run(&mut quiet, &pool[s.entry]);
+        }
         let (s, l, _, tr) =
             stream.phase(seed ^ 0x7ace, seconds / 2.0, Some(&replay), 10_000_000)?;
         attempted += s.len() as u64;
