@@ -221,6 +221,9 @@ impl Shapes {
 pub struct RunResult {
     pub attempted: u64,
     pub failed: u64,
+    /// Untimed operations before the measured phase; op `warmup_ops` is
+    /// the first measured one.
+    pub warmup_ops: u64,
     /// Per-operation latencies of the untraced measured phase, in ms.
     pub latencies_ms: Vec<f64>,
     /// Which input each of those operations ran on.
@@ -269,24 +272,30 @@ fn closed_loop(
     (latencies, start.elapsed().as_secs_f64())
 }
 
-/// The measured phases of an in-process workload: `seconds` untraced, or,
-/// for a traced run, half untraced and half traced. The untraced phase
-/// runs in [`SETUPS`] slices with a `side_setup` (which returns its wall
-/// time) before each slice but the first; `first_setup_s` is the wall
-/// time of the set-up that built the run's state. Op indices continue
-/// from one phase into the next; fills the latency, op-count, set-up,
-/// peak-RSS, and span fields of `result`.
+/// The measured phases of an in-process workload: `warmup_ops` untimed
+/// ops, then `seconds` untraced, or, for a traced run, half untraced and
+/// half traced. The untraced phase runs in [`SETUPS`] slices with a
+/// `side_setup` (which returns its wall time) before each slice but the
+/// first; `first_setup_s` is the wall time of the set-up that built the
+/// run's state. Op indices run on from the warm-up into every phase; fills
+/// the latency, op-count, set-up, peak-RSS, and span fields of `result`.
+/// Warm-up ops are checked like the others, so they count as attempted.
+#[allow(clippy::too_many_arguments)]
 pub fn run_phases(
     result: &mut RunResult,
     seconds: f64,
     trace: bool,
     epoch: Instant,
     first_setup_s: f64,
+    warmup_ops: u64,
     mut side_setup: impl FnMut() -> f64,
     mut op: impl FnMut(&mut Tracer, u64) -> Duration,
 ) {
     let untraced = if trace { seconds / 2.0 } else { seconds };
     let mut off = Tracer::new(false, epoch);
+    for i in 0..warmup_ops {
+        op(&mut off, i);
+    }
     let mut setups = vec![first_setup_s];
     let mut latencies = Vec::new();
     let mut phase_s = 0.0;
@@ -294,10 +303,11 @@ pub fn run_phases(
         if slice > 0 {
             setups.push(side_setup());
         }
-        let (slice_latencies, wall) =
-            closed_loop(untraced / SETUPS as f64, latencies.len() as u64, |i| {
-                op(&mut off, i)
-            });
+        let (slice_latencies, wall) = closed_loop(
+            untraced / SETUPS as f64,
+            warmup_ops + latencies.len() as u64,
+            |i| op(&mut off, i),
+        );
         latencies.extend(slice_latencies);
         phase_s += wall;
     }
@@ -305,12 +315,16 @@ pub fn run_phases(
     result.peak_rss_mb = peak_rss_mb(None);
     if trace {
         let mut on = Tracer::new(true, epoch);
-        let (traced, _) = closed_loop(seconds / 2.0, latencies.len() as u64, |i| op(&mut on, i));
+        let (traced, _) = closed_loop(seconds / 2.0, warmup_ops + latencies.len() as u64, |i| {
+            op(&mut on, i)
+        });
         result.traced_ops = traced.len() as u64;
         result.traced_latencies_ms = traced;
         result.spans = on.into_spans();
     }
-    result.attempted = (latencies.len() + result.traced_latencies_ms.len()) as u64;
+    result.warmup_ops = warmup_ops;
+    result.attempted =
+        warmup_ops + (latencies.len() + result.traced_latencies_ms.len()) as u64;
     result.latencies_ms = latencies;
     result.phase_s = phase_s;
 }

@@ -35,8 +35,8 @@ const ZIPF_S: f64 = 0.8;
 const HOT: usize = 32;
 /// GC watermark of the daemon's artifact cache: a few dozen programs'
 /// artifacts, so first-seen requests keep triggering collections.
-const MAX_CACHE_BYTES: &str = "512k";
-const MAX_CACHE: u64 = 512 << 10;
+const MAX_CACHE_BYTES: &str = "1m";
+const MAX_CACHE: u64 = 1 << 20;
 /// What `wcet serve --caches` analyzes with: caches, depth 0.
 const CASE: OracleCase = OracleCase {
     caches: true,
@@ -47,8 +47,11 @@ const CASE: OracleCase = OracleCase {
 };
 const SOCKET: &str = "s.sock";
 
-/// `latency_tail_ms` percentile (~2200 requests per 25 s).
+/// `latency_tail_ms` percentile (~1400 requests per 32 s, so ~14 beyond it).
 const TAIL_PERCENTILE: f64 = 99.0;
+/// Untimed requests before the measured phase, in seconds: long enough to
+/// fill the store to its watermark, so timing starts with GC under way.
+const WARMUP_S: f64 = 1.0;
 
 struct Entry {
     isa: IsaKind,
@@ -58,7 +61,7 @@ struct Entry {
 }
 
 /// Writes the pool under `work/p` and returns its request lines. Entry
-/// `i` is the Zipf rank-`i` program: 6 to 24 functions, every third one
+/// `i` is the Zipf rank-`i` program: 12 to 48 functions, every third one
 /// RV32I, half of them in flash. Requests are sized so that analysis,
 /// not the vCPU wake-ups of the daemon's pool fan-outs, dominates each
 /// round trip.
@@ -78,7 +81,7 @@ fn write_pool(seed: u64, work: &Path) -> Vec<Entry> {
             };
             let shape = Shape {
                 isa,
-                functions: 6 + (i * 5) % 19,
+                functions: 12 + (i * 5) % 37,
                 flash: (i / 3) % 2 == 0,
             };
             let program = gen::generate(shape, rng.next_u64());
@@ -479,6 +482,7 @@ pub fn run(
         zipf: Zipf::new(POOL, ZIPF_S),
         epoch,
     };
+    let (warmup, _, _, _) = stream.phase(seed ^ 0x3a7e, WARMUP_S, None, 0)?;
     // The untraced phase in slices, with a side set-up before each slice
     // but the first, as `harness::run_phases` does in-process.
     let untraced = if trace { seconds / 2.0 } else { seconds };
@@ -493,7 +497,7 @@ pub fn run(
             slice_seed,
             untraced / harness::SETUPS as f64,
             None,
-            samples.len() as u64,
+            (warmup.len() + samples.len()) as u64,
         )?;
         samples.extend(s);
         latencies.extend(l);
@@ -502,10 +506,13 @@ pub fn run(
     let mut result = RunResult {
         setup_walls: setups,
         tail_percentile: TAIL_PERCENTILE,
+        warmup_ops: warmup.len() as u64,
         ..RunResult::default()
     };
-    let mut attempted = samples.len() as u64;
     result.keys = samples.iter().map(|s| s.entry).collect();
+    // Warm-up requests are checked like the rest.
+    samples.splice(0..0, warmup);
+    let mut attempted = samples.len() as u64;
     if trace {
         let replay = Replay {
             work,
@@ -513,7 +520,7 @@ pub fn run(
             pool: Arc::new(WorkerPool::new(harness::threads())),
         };
         // Bring the replay's cache to the state the daemon's reached over
-        // the untraced half, untimed, so each traced replay does the same
+        // the warm-up and the untraced half, untimed, so each traced replay does the same
         // mix of hits and first-seen work the daemon did for the request.
         let mut served: Vec<&Sample> = samples.iter().collect();
         served.sort_by_key(|s| s.at);
@@ -532,6 +539,10 @@ pub fn run(
     }
     result.peak_rss_mb = harness::peak_rss_mb(Some(daemon.child.id()));
     let log = parse_log(&daemon.shutdown(&socket)?);
+    eprintln!(
+        "wcetbench: daemon: {} requests, {}/{} function artifacts hit, {} GC passes, {} deduped",
+        log.requests, log.incr.fn_hits, log.incr.functions, log.gc_runs, log.dedup_hits
+    );
     let cache_bytes = ArtifactCache::open(work.join("cache")).and_then(|c| c.disk_bytes());
 
     // Checks, outside the timed region: every frame against the
