@@ -131,8 +131,8 @@ impl AbstractState {
     }
 
     /// A stable content digest of the state (FNV-1a via
-    /// [`wcet_isa::hash`]): the incremental engine keys per-context IPET
-    /// solutions on the digest of the context's entry state, so two runs
+    /// [`wcet_isa::hash`]): the incremental engine keys per-context unit
+    /// artifacts on the digest of the context's entry state, so two runs
     /// (and two processes) must agree on it byte for byte.
     #[must_use]
     pub fn digest(&self) -> u64 {
@@ -146,6 +146,39 @@ impl AbstractState {
             v.digest_into(&mut h);
         }
         h.finish()
+    }
+
+    /// Serializes the state for the incremental engine's unit artifacts
+    /// (the per-call-site pre-call states a replayed caller hands its
+    /// callees) — the byte-level twin of [`AbstractState::digest`].
+    pub fn encode_into(&self, w: &mut wcet_isa::codec::Writer) {
+        for v in &self.regs {
+            v.encode_into(w);
+        }
+        w.usize(self.mem.len());
+        for (addr, v) in &self.mem {
+            w.u32(*addr);
+            v.encode_into(w);
+        }
+    }
+
+    /// Inverse of [`AbstractState::encode_into`]; `None` on malformed
+    /// bytes (including memory words out of address order).
+    pub fn decode_from(r: &mut wcet_isa::codec::Reader<'_>) -> Option<AbstractState> {
+        let mut regs: [Value; Reg::COUNT] = std::array::from_fn(|_| Value::Bot);
+        for reg in &mut regs {
+            *reg = Value::decode_from(r)?;
+        }
+        let n = r.length()?;
+        let mut mem = BTreeMap::new();
+        for _ in 0..n {
+            let addr = r.u32()?;
+            if mem.last_key_value().is_some_and(|(&last, _)| last >= addr) {
+                return None;
+            }
+            mem.insert(addr, Value::decode_from(r)?);
+        }
+        Some(AbstractState { regs, mem })
     }
 
     /// The domain partial order: true if `self` is at least as precise as
@@ -189,6 +222,8 @@ impl fmt::Display for AbstractState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interval::Interval;
+    use proptest::prelude::*;
 
     #[test]
     fn r0_is_constant_zero() {
@@ -249,6 +284,44 @@ mod tests {
         let mut s = AbstractState::all_unknown();
         s.set_mem_word(0x41, Value::constant(1));
         assert!(s.mem_word(0x41).is_top());
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Bot),
+            proptest::collection::btree_set(any::<u32>(), 1..=crate::value::SET_LIMIT)
+                .prop_map(Value::Set),
+            (any::<u32>(), any::<u32>())
+                .prop_map(|(a, b)| Value::Range(Interval::new(a.min(b), a.max(b)))),
+            Just(Value::top()),
+        ]
+    }
+
+    fn state() -> impl Strategy<Value = AbstractState> {
+        (
+            proptest::collection::vec(value(), Reg::COUNT),
+            proptest::collection::vec((0u32..64, value()), 0..12),
+        )
+            .prop_map(|(regs, mem)| AbstractState {
+                regs: regs.try_into().expect("one value per register"),
+                mem: mem.into_iter().map(|(w, v)| (w * 4, v)).collect(),
+            })
+    }
+
+    proptest! {
+        /// The unit-artifact codec is exact: `decode(encode(s)) == s`,
+        /// consuming every byte, with an identical digest.
+        #[test]
+        fn prop_encode_decode_round_trips(s in state()) {
+            let mut w = wcet_isa::codec::Writer::new();
+            s.encode_into(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = wcet_isa::codec::Reader::new(&bytes);
+            let back = AbstractState::decode_from(&mut r);
+            prop_assert!(r.done(), "decoding consumes every byte");
+            prop_assert_eq!(back.as_ref().map(AbstractState::digest), Some(s.digest()));
+            prop_assert_eq!(back, Some(s));
+        }
     }
 
     #[test]

@@ -217,6 +217,47 @@ impl Value {
             }
         }
     }
+
+    /// Serializes the value for the incremental engine's unit artifacts
+    /// — the byte-level twin of [`Value::digest_into`].
+    pub fn encode_into(&self, w: &mut wcet_isa::codec::Writer) {
+        match self {
+            Value::Bot => w.u8(0),
+            Value::Set(s) => {
+                w.u8(1);
+                w.usize(s.len());
+                for &v in s {
+                    w.u32(v);
+                }
+            }
+            Value::Range(iv) => {
+                w.u8(2);
+                w.u32(iv.lo().unwrap_or(1));
+                w.u32(iv.hi().unwrap_or(0));
+            }
+        }
+    }
+
+    /// Inverse of [`Value::encode_into`]. `None` for bytes no encoding
+    /// produces (an empty set, an inverted range, an unknown tag).
+    pub fn decode_from(r: &mut wcet_isa::codec::Reader<'_>) -> Option<Value> {
+        match r.u8()? {
+            0 => Some(Value::Bot),
+            1 => {
+                let n = r.length()?;
+                let mut set = BTreeSet::new();
+                for _ in 0..n {
+                    set.insert(r.u32()?);
+                }
+                (set.len() == n && n > 0).then_some(Value::Set(set))
+            }
+            2 => {
+                let (lo, hi) = (r.u32()?, r.u32()?);
+                (lo <= hi).then(|| Value::Range(Interval::new(lo, hi)))
+            }
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Value {

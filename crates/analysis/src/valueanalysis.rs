@@ -165,6 +165,14 @@ impl FunctionAnalysis {
         &self.forest
     }
 
+    /// Consumes the analysis, keeping only the CFG and loop forest — all
+    /// the path analysis reads once block times are derived, without
+    /// the per-block abstract states.
+    #[must_use]
+    pub fn into_cfg_and_forest(self) -> (Cfg, LoopForest) {
+        (self.cfg, self.forest)
+    }
+
     /// The abstract state at a block's entry (`None` if unreachable).
     #[must_use]
     pub fn block_in(&self, b: BlockId) -> Option<&AbstractState> {

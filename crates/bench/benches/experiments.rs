@@ -235,8 +235,12 @@ fn cpu_pipeline(c: &mut Criterion) {
 /// (`call_tree_heavy(8, 8)`: 73 functions, 146 IPET systems). The headline
 /// speedup prints once before the Criterion groups; the acceptance bar is
 /// warm ≥ 3× faster than cold, with byte-identical reports (the report
-/// equality itself is pinned by `tests/incremental.rs`).
+/// equality itself is pinned by `tests/incremental.rs`). The `ctx1` ids
+/// run the same mutation and steady state at context depth 1 on the
+/// cached machine with persistence and the pipeline model, where unit
+/// artifacts replay every unchanged *(function, context)* unit.
 fn incremental(c: &mut Criterion) {
+    use std::path::Path;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Instant;
     use wcet_core::incr::ArtifactCache;
@@ -244,29 +248,39 @@ fn incremental(c: &mut Criterion) {
     let base = workload::call_tree_heavy(8, 8, &[]);
     let mutated = workload::call_tree_heavy(8, 8, &[(13, 31)]);
     let analyzer = WcetAnalyzer::new();
+    let ctx_analyzer = WcetAnalyzer::with_config(AnalyzerConfig {
+        machine: MachineConfig::with_caches(),
+        context_depth: 1,
+        persistence: true,
+        pipeline: true,
+        ..AnalyzerConfig::new()
+    });
 
-    // Prime a cache with the unmutated image.
+    // Prime one cache per configuration with the unmutated image.
     let root = std::env::temp_dir().join(format!("wcet-bench-incr-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let primed = root.join("primed");
-    let mut cache = ArtifactCache::open(&primed).expect("cache opens");
-    analyzer
-        .analyze_incremental(&base.image, &mut cache)
-        .expect("base analyzes");
-    drop(cache);
+    let primed_ctx = root.join("primed-ctx1");
+    for (dir, analyzer) in [(&primed, &analyzer), (&primed_ctx, &ctx_analyzer)] {
+        let mut cache = ArtifactCache::open(dir).expect("cache opens");
+        analyzer
+            .analyze_incremental(&base.image, &mut cache)
+            .expect("base analyzes");
+    }
 
-    // Each warm measurement gets a pristine copy of the primed cache, so
-    // it really measures the one-mutation case — not the all-hit steady
-    // state its own first run would create.
+    // Each warm measurement gets a pristine copy of a primed cache — every
+    // artifact directory — so it really measures the one-mutation case,
+    // not the all-hit steady state its own first run would create.
     static COPY: AtomicUsize = AtomicUsize::new(0);
-    let fresh_copy = || {
+    let fresh_copy = |primed: &Path| {
         let dst = root.join(format!("copy-{}", COPY.fetch_add(1, Ordering::Relaxed)));
-        for sub in ["fn", "ipet"] {
-            std::fs::create_dir_all(dst.join(sub)).expect("copy dir");
-            for entry in std::fs::read_dir(primed.join(sub)).expect("primed dir") {
+        for sub in std::fs::read_dir(primed).expect("primed dir") {
+            let sub = sub.expect("entry").path();
+            let into = dst.join(sub.file_name().expect("named"));
+            std::fs::create_dir_all(&into).expect("copy dir");
+            for entry in std::fs::read_dir(&sub).expect("artifact dir") {
                 let entry = entry.expect("entry");
-                std::fs::copy(entry.path(), dst.join(sub).join(entry.file_name()))
-                    .expect("copy artifact");
+                std::fs::copy(entry.path(), into.join(entry.file_name())).expect("copy artifact");
             }
         }
         ArtifactCache::open(&dst).expect("copy opens")
@@ -286,7 +300,7 @@ fn incremental(c: &mut Criterion) {
         .expect("nonempty");
     let warm_time = (0..5)
         .map(|_| {
-            let mut cache = fresh_copy();
+            let mut cache = fresh_copy(&primed);
             let t = Instant::now();
             let report = analyzer
                 .analyze_incremental(black_box(&mutated.image), &mut cache)
@@ -313,30 +327,35 @@ fn incremental(c: &mut Criterion) {
                 .expect("analyzes")
         });
     });
-    group.bench_function("warm_one_mutation_tree8x8", |b| {
-        b.iter_batched(
-            fresh_copy,
-            |mut cache| {
+    for (id, analyzer, primed) in [
+        ("tree8x8", &analyzer, &primed),
+        ("ctx1_tree8x8", &ctx_analyzer, &primed_ctx),
+    ] {
+        group.bench_function(format!("warm_one_mutation_{id}"), |b| {
+            b.iter_batched(
+                || fresh_copy(primed),
+                |mut cache| {
+                    analyzer
+                        .analyze_incremental(black_box(&mutated.image), &mut cache)
+                        .expect("analyzes")
+                },
+                BatchSize::SmallInput,
+            );
+        });
+        group.bench_function(format!("warm_steady_state_{id}"), |b| {
+            // The batch-service case: the request was seen before; every
+            // artifact and IPET solution replays.
+            let mut cache = fresh_copy(primed);
+            analyzer
+                .analyze_incremental(&mutated.image, &mut cache)
+                .expect("warms up");
+            b.iter(|| {
                 analyzer
                     .analyze_incremental(black_box(&mutated.image), &mut cache)
                     .expect("analyzes")
-            },
-            BatchSize::SmallInput,
-        );
-    });
-    group.bench_function("warm_steady_state_tree8x8", |b| {
-        // The batch-service case: the request was seen before; every
-        // artifact and IPET solution replays.
-        let mut cache = fresh_copy();
-        analyzer
-            .analyze_incremental(&mutated.image, &mut cache)
-            .expect("warms up");
-        b.iter(|| {
-            analyzer
-                .analyze_incremental(black_box(&mutated.image), &mut cache)
-                .expect("analyzes")
+            });
         });
-    });
+    }
     group.finish();
     let _ = std::fs::remove_dir_all(&root);
 }

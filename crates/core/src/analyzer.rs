@@ -8,6 +8,7 @@ use wcet_analysis::loopbound::{BoundResult, BoundSource, LoopBounds};
 use wcet_analysis::state::AbstractState;
 use wcet_analysis::valueanalysis::AnalysisConfig;
 use wcet_analysis::{analyze_function, FunctionAnalysis};
+use wcet_cfg::block::Terminator;
 use wcet_cfg::callgraph::{CallGraph, ContextTable, CtxId};
 use wcet_cfg::dom::Dominators;
 use wcet_cfg::graph::{reconstruct, Cfg, Program};
@@ -26,8 +27,9 @@ use wcet_micro::pipeline::{self, BranchPenalties, PipelineStates};
 use wcet_path::ipet::{self, CallCosts, LpStats, PathError, WcetResult};
 
 use crate::incr::{
-    ipet_ctx_struct_key, ipet_full_key, ipet_site_full_key, ipet_struct_key, ArtifactCache,
-    FootprintArtifact, FunctionArtifact, IncrStats, IpetEntry, KeyContext,
+    ipet_ctx_struct_key, ipet_full_key, ipet_site_full_key, ipet_struct_key, unit_key,
+    ArtifactCache, FootprintArtifact, FunctionArtifact, IncrStats, IpetEntry, KeyContext,
+    UnitArtifact,
 };
 use crate::parallel::{self, WorkerPool};
 use crate::phases::PhaseTrace;
@@ -461,9 +463,10 @@ impl WcetAnalyzer {
         // the recomputed artifact later overwrites the bad file.
         //
         // The context-sensitive pipeline (`context_depth ≥ 1`) replays
-        // only the front matter from artifacts — bounds and block times
-        // are per *(function, context)* and recomputed each run — so the
-        // structural replay below is skipped there.
+        // only the front matter (and own footprints) from function
+        // artifacts — bounds and block times are per *(function,
+        // context)* and replay from unit artifacts there — so the
+        // structural replay below is skipped.
         let mut warm_prepared: BTreeMap<Addr, (Unit, BlockTimes)> = BTreeMap::new();
         let mut warm_analyzed_cfgs: BTreeMap<Addr, Cfg> = BTreeMap::new();
         let mut downgrade: Vec<Addr> = Vec::new();
@@ -1021,6 +1024,7 @@ impl WcetAnalyzer {
                     times_bcet: (0..n).map(|b| times_f.bcet(wcet_cfg::BlockId(b))).collect(),
                     cache_summary: fresh_summaries.get(&f).copied().flatten(),
                     pipeline_digest: self.pipeline_entry_digest(f == program.entry),
+                    footprints: None,
                 };
                 store.store_fn(key, &artifact);
             }
@@ -1244,8 +1248,7 @@ struct CtxPipeline<'a, 'c> {
 }
 
 /// Coordinator-computed inputs of one *(function, context)* unit: the
-/// joined entry states from the producing call edges and their stable
-/// digest (the incremental cache key component).
+/// joined entry states from the producing call edges.
 struct CtxInput {
     id: CtxId,
     entry_state: AbstractState,
@@ -1254,27 +1257,47 @@ struct CtxInput {
     /// The abstract entry pipe (pipeline runs only): joined from the
     /// producing callers' post-call-transfer snapshots.
     pipeline_entry: Option<PipelineStates>,
-    digest: u64,
 }
 
-/// One analyzed *(function, context)* unit: the full per-context value
-/// analysis, loop bounds, block times, and the caller-side propagation
-/// hooks (pre-call value states and ACS pairs per call site).
+impl CtxInput {
+    /// A stable digest of every entry state — the context component of
+    /// the [`unit_key`].
+    fn digest(&self) -> u64 {
+        let mut h = StableHasher::new();
+        h.write_str("ctx-entry");
+        h.write_u64(self.entry_state.digest());
+        for entry in [&self.icache_entry, &self.dcache_entry] {
+            match entry {
+                Some(pair) => {
+                    h.write_u32(1);
+                    h.write_u64(pair.digest());
+                }
+                None => h.write_u32(0),
+            }
+        }
+        match &self.pipeline_entry {
+            Some(p) => {
+                h.write_u32(1);
+                h.write_u64(p.digest());
+            }
+            None => h.write_u32(0),
+        }
+        h.finish()
+    }
+}
+
+/// One *(function, context)* unit ready for the path phase: the analyzed
+/// CFG and loop forest plus everything the unit's value, cache, and
+/// pipeline analyses produced (loop bounds, block times, and the
+/// caller-side propagation hooks per call site) — computed fresh, or
+/// replayed from its unit artifact.
 struct CtxUnit {
-    fa: FunctionAnalysis,
-    bounds: LoopBounds,
-    times: BlockTimes,
-    /// Instruction-cache classification counts, as
-    /// `(hit, miss, first_miss, not_classified)`.
-    cache_summary: Option<(usize, usize, usize, usize)>,
-    digest: u64,
-    peeled: bool,
-    pre_call: BTreeMap<Addr, AbstractState>,
-    icache_calls: Option<BTreeMap<Addr, CacheStates>>,
-    dcache_calls: Option<BTreeMap<Addr, CacheStates>>,
-    /// Per-call-site abstract pipe entering each callee (pipeline runs
-    /// only), the pipeline analogue of `icache_calls`.
-    pipeline_calls: Option<BTreeMap<Addr, PipelineStates>>,
+    cfg: Cfg,
+    forest: LoopForest,
+    /// The [`unit_key`] (cache runs only): addresses the unit artifact
+    /// and the unit's per-context IPET solutions.
+    key: Option<u64>,
+    out: UnitArtifact,
 }
 
 /// One schedulable path-analysis item of the context pipeline.
@@ -1304,6 +1327,22 @@ struct CtxOutcome {
 struct SiteFootprints {
     icache: BTreeMap<Addr, CacheFootprint>,
     dcache: BTreeMap<Addr, CacheFootprint>,
+}
+
+impl SiteFootprints {
+    /// A stable digest of every site's footprints — the callee component
+    /// of the [`unit_key`].
+    fn digest(&self) -> u64 {
+        let mut h = StableHasher::new();
+        for sites in [&self.icache, &self.dcache] {
+            h.write_usize(sites.len());
+            for (site, fp) in sites {
+                h.write_u32(site.0);
+                fp.digest_into(&mut h);
+            }
+        }
+        h.finish()
+    }
 }
 
 /// Unions `other` into `acc`, per configured cache.
@@ -1365,40 +1404,43 @@ impl WcetAnalyzer {
         // wavefront: every call site is priced with the joined transitive
         // footprint of its possible callees, so the per-context cache
         // analysis ages the caller's ACS instead of clobbering it. Warm
-        // functions replay their own-footprints from the artifact cache
+        // functions replay their own footprints from their artifacts
         // (they have no fresh value analysis to derive them from).
-        let footprints: Option<BTreeMap<Addr, SiteFootprints>> = (self.config.persistence
-            && (self.config.machine.icache.is_some() || self.config.machine.dcache.is_some()))
-        .then(|| {
-            self.compute_footprints(
-                &program,
-                &callgraph,
-                &phases_map,
-                &fn_keys,
-                image,
-                cache.as_deref_mut(),
-            )
-        });
+        let (footprints, own_footprints) = if self.config.persistence
+            && (self.config.machine.icache.is_some() || self.config.machine.dcache.is_some())
+        {
+            let (sites, own) = self.compute_footprints(&program, &callgraph, &phases_map, image);
+            (Some(sites), own)
+        } else {
+            (None, BTreeMap::new())
+        };
+
+        // The callee component of every unit key (cache runs only): the
+        // footprints each function's call sites are priced with.
+        let footprint_digests: BTreeMap<Addr, u64> = match (&key_ctx, &footprints) {
+            (Some(_), Some(fps)) => fps.iter().map(|(&f, s)| (f, s.digest())).collect(),
+            _ => BTreeMap::new(),
+        };
 
         // --- Phases 3–4 per unit: the top-down wavefront ---------------
         // Reversing the bottom-up levels puts every caller context in an
         // earlier level than the contexts it produces, so entry states
-        // join over already-analyzed units. Units within one level share
-        // no call edges and fan out in parallel; merges land in ctx-id
+        // join over already-analyzed (or replayed) units. Units within
+        // one level share no call edges and fan out in parallel: each
+        // replays its unit artifact when the cache holds one for its key
+        // and is analyzed (and stored) otherwise. Merges land in ctx-id
         // order, so the report is thread-count independent.
         let t3 = Instant::now();
         let mut ctx_work = Duration::ZERO;
         let mut units: BTreeMap<CtxId, CtxUnit> = BTreeMap::new();
         let mut analyzed_cfgs: BTreeMap<Addr, Cfg> = BTreeMap::new();
+        let store: Option<&ArtifactCache> = cache.as_deref();
         for level in levels.iter().rev() {
-            let ids: Vec<CtxId> = level
+            let inputs: Vec<CtxInput> = level
                 .iter()
                 .flatten()
                 .flat_map(|&f| contexts.ctxs_of(f).iter().copied())
-                .collect();
-            let inputs: Vec<CtxInput> = ids
-                .iter()
-                .map(|&id| {
+                .map(|id| {
                     ctx_entry_input(
                         id,
                         &contexts,
@@ -1412,28 +1454,50 @@ impl WcetAnalyzer {
                 })
                 .collect();
             let (results, work) = pool.map_in_order(&inputs, |input| {
-                self.analyze_ctx_unit(
+                let f = contexts.info(input.id).function;
+                let key = fn_keys[&f].map(|fn_key| {
+                    let footprint = footprint_digests.get(&f).copied().unwrap_or(0);
+                    unit_key(fn_key, input.digest(), footprint)
+                });
+                let replayed = key.zip(store).and_then(|(key, store)| {
+                    let artifact = store.lookup_unit(key, &self.config.machine)?;
+                    self.replay_ctx_unit(key, artifact, program.cfg(f).expect("reconstructed"))
+                });
+                if let Some(unit) = replayed {
+                    return (unit, true);
+                }
+                let unit = self.analyze_ctx_unit(
                     input,
+                    key,
                     &contexts,
                     &program,
                     &summaries,
                     &overrides,
                     footprints.as_ref(),
-                )
+                );
+                if let (Some(key), Some(store)) = (key, store) {
+                    store.store_unit(key, &unit.out);
+                }
+                (unit, false)
             });
             ctx_work += work;
-            for (input, unit) in inputs.into_iter().zip(results) {
+            for (input, (unit, replayed)) in inputs.into_iter().zip(results) {
+                if replayed {
+                    stats.units_replayed += 1;
+                } else {
+                    stats.units_analyzed += 1;
+                }
                 let f = contexts.info(input.id).function;
-                if unit.peeled && !analyzed_cfgs.contains_key(&f) {
+                if unit.out.peeled && !analyzed_cfgs.contains_key(&f) {
                     // Peeling is pure CFG surgery: every context of `f`
                     // derives the same expanded CFG.
-                    analyzed_cfgs.insert(f, unit.fa.cfg().clone());
+                    analyzed_cfgs.insert(f, unit.cfg.clone());
                 }
                 units.insert(input.id, unit);
             }
         }
         for unit in units.values() {
-            if let Some((h, m, fm, nc)) = unit.cache_summary {
+            if let Some((h, m, fm, nc)) = unit.out.cache_summary {
                 trace.cache_always_hit += h;
                 trace.cache_always_miss += m;
                 trace.cache_first_miss += fm;
@@ -1442,41 +1506,37 @@ impl WcetAnalyzer {
         }
         if self.config.pipeline {
             for unit in units.values() {
-                trace.pipeline_edges += pipeline::predicted_edge_count(unit.fa.cfg());
+                trace.pipeline_edges += pipeline::predicted_edge_count(&unit.cfg);
             }
         }
         trace.phase_times[3] = t3.elapsed();
         trace.phase_work_times[3] = ctx_work;
 
-        // --- Dirtiness propagation (function-level, as at depth 0) -----
-        let dirty: BTreeSet<Addr> = if key_ctx.is_some() {
+        // --- Dirtiness (a statistic at depth ≥ 1) ----------------------
+        // Unit and per-context IPET keys cover every input of what they
+        // address, so nothing here gates a cache lookup; the count only
+        // keeps the stats line comparable with depth 0.
+        if key_ctx.is_some() {
             let changed: BTreeSet<Addr> = phases_map
                 .iter()
                 .filter(|(_, phase)| matches!(phase, FnPhase::Fresh { .. }))
                 .map(|(&f, _)| f)
                 .collect();
-            let dirty = callgraph.transitive_callers(&changed);
             stats.functions = phases_map.len();
             stats.fn_hits = phases_map.len() - changed.len();
             stats.fn_misses = changed.len();
-            stats.dirty = dirty.len();
-            dirty
-        } else {
-            BTreeSet::new()
-        };
+            stats.dirty = callgraph.transitive_callers(&changed).len();
+        }
 
         // Annotation-sourced bound statistic: per function (not per
         // context — the count describes the code), over the first
         // context's analyzed forest, mirroring the depth-0 semantics.
         for &f in program.functions.keys() {
             let unit = &units[&contexts.ctxs_of(f)[0]];
-            let mut bounds = unit.bounds.clone();
-            self.config.annotations.apply_loop_bounds(
-                unit.fa.cfg(),
-                unit.fa.forest(),
-                &mut bounds,
-                None,
-            );
+            let mut bounds = unit.out.bounds.clone();
+            self.config
+                .annotations
+                .apply_loop_bounds(&unit.cfg, &unit.forest, &mut bounds, None);
             trace.loops_bounded_annot += bounds
                 .results()
                 .iter()
@@ -1543,14 +1603,13 @@ impl WcetAnalyzer {
                         to_solve.push(gi);
                         continue;
                     };
-                    let f = contexts.info(*ctx).function;
                     let unit = &units[ctx];
                     if let Some(costs) =
                         ctx_site_costs(unit, *ctx, &contexts, &wcet_costs, &bcet_costs)
                     {
                         priced.insert(gi, costs);
                     }
-                    let (Some(fn_key), true) = (fn_keys[&f], cache.is_some()) else {
+                    let (Some(key), Some(store)) = (unit.key, cache.as_deref_mut()) else {
                         to_solve.push(gi);
                         continue;
                     };
@@ -1560,27 +1619,28 @@ impl WcetAnalyzer {
                         to_solve.push(gi);
                         continue;
                     };
-                    let skey = ipet_ctx_struct_key(fn_key, unit.digest, mode.as_deref());
+                    // The unit key fixes the CFG, bounds, and block
+                    // times; the full key adds the site costs. Together
+                    // they cover every input of the solve, so any hit is
+                    // exact — no dirtiness gate.
+                    let skey = ipet_ctx_struct_key(key, mode.as_deref());
                     let fkey = ipet_site_full_key(skey, costs);
-                    if !dirty.contains(&f) {
-                        let store = cache.as_deref_mut().expect("cache active");
-                        let hit = store
-                            .lookup_ipet(skey)
-                            .filter(|e| e.full_key == fkey && entry_fits(e, unit.fa.cfg()));
-                        if let Some(entry) = hit {
-                            stats.ipet_hits += 1;
-                            served[gi] = Some(CtxOutcome {
-                                reports: vec![(
-                                    *ctx,
-                                    FunctionReport {
-                                        wcet: entry.wcet,
-                                        bcet: entry.bcet,
-                                    },
-                                )],
-                                lp: entry.lp,
-                            });
-                            continue;
-                        }
+                    let hit = store
+                        .lookup_ipet(skey)
+                        .filter(|e| e.full_key == fkey && entry_fits(e, &unit.cfg));
+                    if let Some(entry) = hit {
+                        stats.ipet_hits += 1;
+                        served[gi] = Some(CtxOutcome {
+                            reports: vec![(
+                                *ctx,
+                                FunctionReport {
+                                    wcet: entry.wcet,
+                                    bcet: entry.bcet,
+                                },
+                            )],
+                            lp: entry.lp,
+                        });
+                        continue;
                     }
                     store_keys.insert(gi, (skey, fkey));
                     to_solve.push(gi);
@@ -1659,40 +1719,55 @@ impl WcetAnalyzer {
         trace.phase_work_times[4] = path_work;
 
         // --- Store fresh function artifacts ----------------------------
-        // Bounds/times are per-context at depth ≥ 1, so artifacts carry
-        // only the context-oblivious front matter (plus the merged-unit
-        // loop bounds for completeness); the structural replay path is
-        // exclusive to depth 0, whose config fingerprint differs.
+        // Bounds/times are per-context at depth ≥ 1 (unit artifacts hold
+        // them), so function artifacts carry the context-oblivious front
+        // matter, the merged-unit loop bounds for completeness, and the
+        // own footprints; the structural replay path is exclusive to
+        // depth 0, whose config fingerprint differs.
         if let (Some(_), Some(store)) = (&key_ctx, cache) {
             for (&f, phase) in &phases_map {
-                let FnPhase::Fresh { key, fa } = phase else {
-                    continue;
-                };
-                let key = key.expect("keys are computed for every function under a cache");
-                let fm = &front[&f];
-                let artifact = FunctionArtifact {
-                    hint_calls: fm.hint_calls.clone(),
-                    hint_jumps: fm.hint_jumps.clone(),
-                    findings: fm.findings.clone(),
-                    loops_total: fm.loops_total,
-                    loops_auto: fm.loops_auto,
-                    peeled: false,
-                    bounds: fa
-                        .loop_bounds()
-                        .results()
-                        .iter()
-                        .map(|(id, r)| (id.0, *r))
-                        .collect(),
-                    times_wcet: Vec::new(),
-                    times_bcet: Vec::new(),
-                    cache_summary: None,
-                    pipeline_digest: None,
+                let footprints = own_footprints.get(&f).cloned();
+                let (key, artifact) = match phase {
+                    FnPhase::Fresh { key, fa } => {
+                        let fm = &front[&f];
+                        let artifact = FunctionArtifact {
+                            hint_calls: fm.hint_calls.clone(),
+                            hint_jumps: fm.hint_jumps.clone(),
+                            findings: fm.findings.clone(),
+                            loops_total: fm.loops_total,
+                            loops_auto: fm.loops_auto,
+                            peeled: false,
+                            bounds: fa
+                                .loop_bounds()
+                                .results()
+                                .iter()
+                                .map(|(id, r)| (id.0, *r))
+                                .collect(),
+                            times_wcet: Vec::new(),
+                            times_bcet: Vec::new(),
+                            cache_summary: None,
+                            pipeline_digest: None,
+                            footprints,
+                        };
+                        let key = key.expect("keys are computed for every function under a cache");
+                        (key, artifact)
+                    }
+                    // A warm artifact whose footprints had to be
+                    // recomputed is repaired in place.
+                    FnPhase::Warm { key, artifact } if artifact.footprints != footprints => (
+                        *key,
+                        FunctionArtifact {
+                            footprints,
+                            ..artifact.clone()
+                        },
+                    ),
+                    FnPhase::Warm { .. } => continue,
                 };
                 store.store_fn(key, &artifact);
             }
         }
 
-        let entry_cfg = units[&root_ctx].fa.cfg();
+        let entry_cfg = &units[&root_ctx].cfg;
         trace.ilp_vars = entry_cfg.edges().len() + entry_cfg.block_count() + 1;
         trace.ilp_constraints = entry_cfg.block_count() * 2;
 
@@ -1750,12 +1825,13 @@ impl WcetAnalyzer {
     }
 
     /// Computes the per-caller, per-call-site callee footprints the
-    /// persistence analysis prices calls with:
+    /// persistence analysis prices calls with, plus every function's own
+    /// footprints (for the function artifacts stored at the end):
     ///
     /// 1. **own footprints** per function — fresh from each function's
-    ///    value analysis, or replayed from the `fp/` artifact cache for
-    ///    warm functions (recomputed deterministically when the artifact
-    ///    is missing or corrupt, so warm runs stay byte-identical);
+    ///    value analysis, or replayed from warm function artifacts
+    ///    (recomputed deterministically when an artifact lacks fitting
+    ///    ones, so warm runs stay byte-identical);
     /// 2. **transitive closure** bottom-up over the call graph (a
     ///    recursive SCC unions all of its members); functions with
     ///    unresolved call sites degrade to the all-`Any` footprint;
@@ -1765,34 +1841,30 @@ impl WcetAnalyzer {
         program: &Program,
         callgraph: &CallGraph,
         phases_map: &BTreeMap<Addr, FnPhase>,
-        fn_keys: &BTreeMap<Addr, Option<u64>>,
         image: &Image,
-        mut cache: Option<&mut ArtifactCache>,
-    ) -> BTreeMap<Addr, SiteFootprints> {
+    ) -> (
+        BTreeMap<Addr, SiteFootprints>,
+        BTreeMap<Addr, FootprintArtifact>,
+    ) {
         // Step 1: own footprints (replayed or fresh).
         let mut own: BTreeMap<Addr, FootprintArtifact> = BTreeMap::new();
         for (&f, phase) in phases_map {
-            let key = fn_keys.get(&f).copied().flatten();
             let art = match phase {
                 FnPhase::Fresh { fa, .. } => self.own_footprints(fa),
-                FnPhase::Warm { .. } => {
-                    let replayed = key
-                        .and_then(|k| cache.as_deref_mut().and_then(|store| store.lookup_fp(k)))
-                        .filter(|art| self.footprints_fit(art));
-                    match replayed {
+                FnPhase::Warm { artifact, .. } => {
+                    match artifact
+                        .footprints
+                        .clone()
+                        .filter(|a| self.footprints_fit(a))
+                    {
                         Some(art) => art,
-                        None => {
-                            // No (valid) artifact: re-derive the value
-                            // analysis just for the footprint. Slow but
-                            // deterministic — identical to a cold run.
-                            self.own_footprints(&analyze_function(program, f, image))
-                        }
+                        // No fitting footprints: re-derive the value
+                        // analysis just for them. Slow but
+                        // deterministic — identical to a cold run.
+                        None => self.own_footprints(&analyze_function(program, f, image)),
                     }
                 }
             };
-            if let (Some(store), Some(k)) = (cache.as_deref_mut(), key) {
-                store.store_fp(k, &art);
-            }
             own.insert(f, art);
         }
 
@@ -1862,16 +1934,18 @@ impl WcetAnalyzer {
             }
             result.insert(f, sites);
         }
-        result
+        (result, own)
     }
 
     /// Analyzes one *(function, context)* unit: value analysis from the
     /// context's entry state, optional virtual unrolling (re-analyzed
     /// under the same entry state), cache fixpoints seeded with the entry
     /// ACS pair, and block times.
+    #[allow(clippy::too_many_arguments)] // phase state, plumbed not stored
     fn analyze_ctx_unit(
         &self,
         input: &CtxInput,
+        key: Option<u64>,
         contexts: &ContextTable,
         program: &Program,
         summaries: &std::sync::Arc<
@@ -1962,21 +2036,76 @@ impl WcetAnalyzer {
             );
             (times, None)
         };
-        let cache_summary = icache.as_ref().map(CacheAnalysis::summary4);
-        let bounds = fa.loop_bounds();
-        let pre_call = fa.pre_call_states();
-        CtxUnit {
-            bounds,
-            times,
-            cache_summary,
-            digest: input.digest,
+        let out = UnitArtifact {
             peeled: peeled_flag,
-            pre_call,
+            bounds: fa.loop_bounds(),
+            times,
+            cache_summary: icache.as_ref().map(CacheAnalysis::summary4),
+            pre_call: fa.pre_call_states(),
             icache_calls,
             dcache_calls,
             pipeline_calls,
-            fa,
+        };
+        // The per-block abstract states are dead from here on; only the
+        // CFG and forest travel to the path phase.
+        let (cfg, forest) = fa.into_cfg_and_forest();
+        CtxUnit {
+            cfg,
+            forest,
+            key,
+            out,
         }
+    }
+
+    /// Rebuilds a unit from its artifact against the re-derived CFG and
+    /// loop forest (the peeled pair when the artifact recorded a peel) —
+    /// the depth-≥1 counterpart of [`replay_unit`]. `None`, a miss, when
+    /// the artifact does not fit: a peel that no longer reproduces, a
+    /// block or loop count that differs, a call-site state for a site
+    /// the CFG lacks, or a state family this configuration does not
+    /// track. The caller then analyzes the unit and overwrites the file.
+    fn replay_ctx_unit(&self, key: u64, out: UnitArtifact, orig: &Cfg) -> Option<CtxUnit> {
+        let machine = &self.config.machine;
+        let forest_of = |cfg: &Cfg| LoopForest::compute(cfg, &Dominators::compute(cfg));
+        let (cfg, forest) = if out.peeled {
+            if !self.config.unrolling {
+                return None;
+            }
+            let (peeled, _skipped) = wcet_cfg::unroll::peel_all(orig, &forest_of(orig));
+            if peeled.block_count() == orig.block_count() {
+                return None;
+            }
+            let forest = forest_of(&peeled);
+            (peeled, forest)
+        } else {
+            (orig.clone(), forest_of(orig))
+        };
+        let results = out.bounds.results();
+        let bounds_fit =
+            results.len() == forest.len() && results.iter().all(|(id, _)| id.0 < forest.len());
+        let families_fit = out.cache_summary.is_some() == machine.icache.is_some()
+            && out.pipeline_calls.is_some() == self.config.pipeline;
+        let call_sites: BTreeSet<Addr> = cfg
+            .iter()
+            .filter(|(_, b)| matches!(b.term, Terminator::Call { .. } | Terminator::CallInd { .. }))
+            .map(|(_, b)| b.site_addr())
+            .collect();
+        let sites_fit = out.pre_call.keys().all(|s| call_sites.contains(s))
+            && [&out.icache_calls, &out.dcache_calls]
+                .into_iter()
+                .flatten()
+                .all(|m| m.keys().all(|s| call_sites.contains(s)))
+            && out
+                .pipeline_calls
+                .iter()
+                .all(|m| m.keys().all(|s| call_sites.contains(s)));
+        let fits = out.times.len() == cfg.block_count() && bounds_fit && families_fit && sites_fit;
+        fits.then_some(CtxUnit {
+            cfg,
+            forest,
+            key: Some(key),
+            out,
+        })
     }
 
     /// Path-analyzes one context group for `mode` — the per-context
@@ -2000,8 +2129,8 @@ impl WcetAnalyzer {
          -> Result<FunctionReport, AnalyzeError> {
             let f = contexts.info(ctx).function;
             let unit = &units[&ctx];
-            let (cfg, forest) = (unit.fa.cfg(), unit.fa.forest());
-            let mut bounds = unit.bounds.clone();
+            let (cfg, forest) = (&unit.cfg, &unit.forest);
+            let mut bounds = unit.out.bounds.clone();
             self.config
                 .annotations
                 .apply_loop_bounds(cfg, forest, &mut bounds, mode);
@@ -2027,7 +2156,7 @@ impl WcetAnalyzer {
             let wcet = ipet::wcet_full(
                 cfg,
                 forest,
-                &unit.times,
+                &unit.out.times,
                 &bounds,
                 &facts,
                 &w_costs,
@@ -2038,7 +2167,7 @@ impl WcetAnalyzer {
             let bcet = ipet::bcet_full(
                 cfg,
                 forest,
-                &unit.times,
+                &unit.out.times,
                 &bounds,
                 &facts,
                 &b_costs,
@@ -2095,8 +2224,8 @@ impl WcetAnalyzer {
 }
 
 /// Computes the entry inputs of one context on the coordinator: the join
-/// of the producing callers' pre-call value states and ACS pairs, and
-/// the digest that keys per-context IPET solutions. Recursive functions
+/// of the producing callers' pre-call value states, ACS pairs, and
+/// pipes. Recursive functions
 /// and functions without resolved producers fall back to the ⊤ image
 /// entry state (today's merged behaviour) — sound for any call path.
 /// Their cache entries fall back to [`CacheStates::unknown`], not cold:
@@ -2126,15 +2255,15 @@ fn ctx_entry_input(
             let Some(caller_unit) = units.get(&caller) else {
                 continue;
             };
-            if let Some(s) = caller_unit.pre_call.get(&site) {
+            if let Some(s) = caller_unit.out.pre_call.get(&site) {
                 state = Some(match state {
                     Some(cur) => cur.join(s),
                     None => s.clone(),
                 });
             }
             for (pair, entry) in [
-                (&caller_unit.icache_calls, &mut icache_entry),
-                (&caller_unit.dcache_calls, &mut dcache_entry),
+                (&caller_unit.out.icache_calls, &mut icache_entry),
+                (&caller_unit.out.dcache_calls, &mut dcache_entry),
             ] {
                 if let Some(p) = pair.as_ref().and_then(|m| m.get(&site)) {
                     *entry = Some(match entry.take() {
@@ -2144,6 +2273,7 @@ fn ctx_entry_input(
                 }
             }
             if let Some(p) = caller_unit
+                .out
                 .pipeline_calls
                 .as_ref()
                 .and_then(|m| m.get(&site))
@@ -2177,32 +2307,12 @@ fn ctx_entry_input(
             }
         })
     });
-    let mut h = StableHasher::new();
-    h.write_str("ctx-entry");
-    h.write_u64(entry_state.digest());
-    for entry in [&icache_entry, &dcache_entry] {
-        match entry {
-            Some(pair) => {
-                h.write_u32(1);
-                h.write_u64(pair.digest());
-            }
-            None => h.write_u32(0),
-        }
-    }
-    match &pipeline_entry {
-        Some(p) => {
-            h.write_u32(1);
-            h.write_u64(p.digest());
-        }
-        None => h.write_u32(0),
-    }
     CtxInput {
         id,
         entry_state,
         icache_entry,
         dcache_entry,
         pipeline_entry,
-        digest: h.finish(),
     }
 }
 
@@ -2242,7 +2352,7 @@ fn site_costs(
     zero_members: &[Addr],
 ) -> Vec<(Addr, u64, u64)> {
     let mut out: BTreeMap<Addr, (u64, u64)> = BTreeMap::new();
-    for (site, targets) in unit.fa.cfg().call_sites() {
+    for (site, targets) in unit.cfg.call_sites() {
         let mut site_w: Option<u64> = None;
         let mut site_b: Option<u64> = None;
         let mut complete = true;
@@ -2285,8 +2395,7 @@ fn ctx_site_costs(
 ) -> Option<Vec<(Addr, u64, u64)>> {
     let priced = site_costs(unit, ctx, contexts, wcet_costs, bcet_costs, &[]);
     let wanted: BTreeSet<Addr> = unit
-        .fa
-        .cfg()
+        .cfg
         .call_sites()
         .into_iter()
         .filter(|(_, targets)| !targets.is_empty())

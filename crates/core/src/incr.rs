@@ -9,7 +9,8 @@
 //!
 //! * **Function artifacts** (`fn/<key>.art`) — resolver hints, guideline
 //!   findings, loop statistics, automatic loop bounds, per-block WCET/BCET
-//!   times, and the cache-classification summary. Keyed by
+//!   times, the cache-classification summary, and (persistence runs) the
+//!   function's own cache footprints. Keyed by
 //!   [`function_key`]: a stable hash of the function's reconstructed CFG
 //!   (raw instruction words *and* resolved terminators), the image's
 //!   initialized data, the callees' may-write-memory summaries, and the
@@ -24,14 +25,22 @@
 //!   propagates caller-ward through content addressing, mirroring the
 //!   explicit [`wcet_cfg::callgraph::CallGraph::transitive_callers`] pass
 //!   the analyzer runs for its statistics.
+//! * **Unit artifacts** (`unit/<key>.unt`) — at context depth ≥ 1, one
+//!   per *(function, context)* unit: loop bounds, block times, the cache
+//!   summary, and the per-call-site states the unit hands its callees.
+//!   Keyed by [`unit_key`]: the function key, the context's entry-state
+//!   digest, and the callee footprints its call sites are priced with —
+//!   every input of the unit's value, cache, and pipeline analyses.
+//!   Per-context IPET solutions are keyed on the unit key too
+//!   ([`ipet_ctx_struct_key`]), so they need no dirtiness gate.
 //!
 //! Soundness stance: a cache hit must be byte-identical to a fresh run.
 //! That holds because every input of the cached computation is hashed
 //! into the key and the pipeline itself is deterministic (fixed worklist
 //! orders, Bland's rule in the simplex, address-ordered merges). Entries
 //! that fail structural validation (wrong block/loop counts, truncated
-//! bytes, version mismatch) are treated as misses. Recursive SCCs are
-//! never cached — their costs are computed jointly per run.
+//! bytes, version mismatch) are treated as misses. Recursive SCCs' IPET
+//! solutions are never cached — their costs are computed jointly per run.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -39,13 +48,21 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use wcet_analysis::loopbound::{BoundResult, BoundSource, UnboundedReason};
+use wcet_analysis::loopbound::{BoundResult, BoundSource, LoopBounds, UnboundedReason};
+use wcet_analysis::state::AbstractState;
 use wcet_analysis::valueanalysis::FunctionSummary;
 use wcet_cfg::block::BlockId;
 use wcet_cfg::graph::Cfg;
+use wcet_cfg::loops::LoopId;
 use wcet_guidelines::rules::{Finding, RuleId};
+use wcet_isa::cache::CacheConfig;
+use wcet_isa::codec::{Reader, Writer};
 use wcet_isa::hash::StableHasher;
+use wcet_isa::interp::MachineConfig;
 use wcet_isa::{Addr, Image};
+use wcet_micro::blocktime::BlockTimes;
+use wcet_micro::cacheanalysis::CacheStates;
+use wcet_micro::pipeline::PipelineStates;
 use wcet_path::ipet::{LpStats, WcetResult};
 
 use crate::analyzer::AnalyzerConfig;
@@ -67,7 +84,13 @@ use crate::analyzer::AnalyzerConfig;
 /// Version 7: the abstract pipeline — the pipeline flag joins the config
 /// fingerprint and function artifacts record the pipeline-state entry
 /// digest their block times were derived against.
-pub(crate) const CACHE_VERSION: u32 = 7;
+/// Version 8: unit artifacts (`unit/`) cache each *(function, context)*
+/// unit's analysis results, and per-context IPET solutions are keyed on
+/// the unit key — which also covers the callee footprints — instead of
+/// `(function key, entry digest)`. Own footprints move into the function
+/// artifact (the `fp/` kind is retired), so a cold run creates no more
+/// files than before and a warm one reads fewer.
+pub(crate) const CACHE_VERSION: u32 = 8;
 
 /// Magic prefix of every artifact file.
 const MAGIC: &[u8; 4] = b"WCAC";
@@ -246,18 +269,32 @@ pub fn ipet_full_key(struct_key: u64, costs: &[(Addr, u64, u64)]) -> u64 {
     h.finish()
 }
 
-/// Structure key of one *(function, context, mode)* IPET system in the
-/// context-sensitive pipeline: the function's content key plus the
-/// digest of the context's entry state (register/memory intervals and,
-/// when caches are configured, the entry ACS pair). Two contexts with
-/// identical entry digests legitimately share a solution — the pipeline
-/// is a pure function of the entry state.
+/// Key of one *(function, context)* unit of the context-sensitive
+/// pipeline: the function's content key, the digest of the context's
+/// entry state (register/memory intervals and, where configured, the
+/// entry ACS pairs and pipe), and the digest of the callee footprints
+/// its call sites are priced with (persistence runs; a constant
+/// otherwise). Those are every input of the unit's value, cache, and
+/// pipeline analyses, so two contexts with equal keys legitimately share
+/// one artifact.
 #[must_use]
-pub fn ipet_ctx_struct_key(fn_key: u64, ctx_digest: u64, mode: Option<&str>) -> u64 {
+pub fn unit_key(fn_key: u64, entry_digest: u64, footprint_digest: u64) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_str("ctx-unit");
+    h.write_u64(fn_key);
+    h.write_u64(entry_digest);
+    h.write_u64(footprint_digest);
+    h.finish()
+}
+
+/// Structure key of one *(function, context, mode)* IPET system in the
+/// context-sensitive pipeline: the [`unit_key`] (which fixes the CFG,
+/// loop bounds, and block times) plus the mode.
+#[must_use]
+pub fn ipet_ctx_struct_key(unit_key: u64, mode: Option<&str>) -> u64 {
     let mut h = StableHasher::new();
     h.write_str("ctx-ipet");
-    h.write_u64(fn_key);
-    h.write_u64(ctx_digest);
+    h.write_u64(unit_key);
     match mode {
         Some(m) => h.write_str(m),
         None => h.write_str("\u{0}global"),
@@ -320,20 +357,52 @@ pub struct FunctionArtifact {
     /// derived against (pipeline runs only) — the replay guard for the
     /// entry/callee asymmetry the function key cannot see.
     pub pipeline_digest: Option<u64>,
+    /// The function's own cache footprints (persistence runs at context
+    /// depth ≥ 1): the per-context pipeline prices every call with its
+    /// callees' footprints, but a warm run only has fresh value analyses
+    /// for *changed* functions.
+    pub footprints: Option<FootprintArtifact>,
 }
 
 /// One function's *own* (non-transitive) cache footprints — the lines
 /// its body can touch in the instruction and data caches, mirroring the
-/// machine configuration's cache presence. A third artifact kind
-/// (`fp/<key>.fpt`), keyed like function artifacts: the per-context
-/// pipeline needs every function's footprint to summarize calls, but a
-/// warm run only has fresh value analyses for *changed* functions.
+/// machine configuration's cache presence. Recorded in the function's
+/// artifact ([`FunctionArtifact::footprints`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FootprintArtifact {
     /// Instruction-cache footprint (when an icache is configured).
     pub icache: Option<wcet_micro::footprint::CacheFootprint>,
     /// Data-cache footprint (when a dcache is configured).
     pub dcache: Option<wcet_micro::footprint::CacheFootprint>,
+}
+
+/// Everything one *(function, context)* unit's value, cache, and
+/// pipeline analyses produce that later phases read, stored as
+/// `unit/<key>.unt` under its [`unit_key`]. It carries the
+/// outgoing per-call-site states, so a replayed caller feeds its
+/// callees' entry states exactly as a fresh one would. Bounds, times,
+/// and site keys refer to the *analyzed* CFG (the peeled copy when
+/// `peeled` is set); the analyzer re-derives that CFG and validates the
+/// artifact against it before trusting anything.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnitArtifact {
+    /// Whether virtual unrolling changed the CFG.
+    pub peeled: bool,
+    /// Automatic loop bounds over the analyzed CFG's forest.
+    pub bounds: LoopBounds,
+    /// Per-block WCET/BCET cycles and first-miss penalties.
+    pub times: BlockTimes,
+    /// Instruction-cache classification counts, as `(hit, miss,
+    /// first_miss, not_classified)`, when an icache is configured.
+    pub cache_summary: Option<(usize, usize, usize, usize)>,
+    /// Abstract value state before each call site (the callees' entry).
+    pub pre_call: BTreeMap<Addr, AbstractState>,
+    /// Instruction-cache states before each call site (icache runs).
+    pub icache_calls: Option<BTreeMap<Addr, CacheStates>>,
+    /// Data-cache states before each call site (dcache runs).
+    pub dcache_calls: Option<BTreeMap<Addr, CacheStates>>,
+    /// Abstract pipe entering each callee (pipeline runs).
+    pub pipeline_calls: Option<BTreeMap<Addr, PipelineStates>>,
 }
 
 /// A cached `(function, mode)` IPET solution.
@@ -367,6 +436,10 @@ pub struct IncrStats {
     pub ipet_hits: usize,
     /// IPET systems solved this run.
     pub ipet_solves: usize,
+    /// *(function, context)* units analyzed fresh (context depth ≥ 1).
+    pub units_analyzed: usize,
+    /// Units replayed from unit artifacts (context depth ≥ 1).
+    pub units_replayed: usize,
 }
 
 impl fmt::Display for IncrStats {
@@ -376,7 +449,17 @@ impl fmt::Display for IncrStats {
             "cache: {}/{} function artifact(s) hit, {} dirty, \
              {} IPET hit(s), {} IPET solve(s)",
             self.fn_hits, self.functions, self.dirty, self.ipet_hits, self.ipet_solves
-        )
+        )?;
+        // Only the context pipeline has units (every such run has at
+        // least the task's root unit); depth-0 lines stay as they were.
+        if self.units_analyzed + self.units_replayed > 0 {
+            write!(
+                f,
+                ", {} unit(s) analyzed, {} unit(s) replayed",
+                self.units_analyzed, self.units_replayed
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -390,7 +473,6 @@ impl fmt::Display for IncrStats {
 pub struct ArtifactCache {
     root: PathBuf,
     mem_fn: HashMap<u64, FunctionArtifact>,
-    mem_fp: HashMap<u64, FootprintArtifact>,
     mem_ipet: HashMap<u64, IpetEntry>,
 }
 
@@ -401,16 +483,15 @@ impl ArtifactCache {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors creating `fn/`, `fp/`, and `ipet/`.
+    /// Propagates filesystem errors creating the artifact subdirectories.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<ArtifactCache> {
         let root = root.into();
-        fs::create_dir_all(root.join("fn"))?;
-        fs::create_dir_all(root.join("fp"))?;
-        fs::create_dir_all(root.join("ipet"))?;
+        for kind in Self::KINDS {
+            fs::create_dir_all(root.join(kind))?;
+        }
         let cache = ArtifactCache {
             root,
             mem_fn: HashMap::new(),
-            mem_fp: HashMap::new(),
             mem_ipet: HashMap::new(),
         };
         // Sweep each store at most once per process: the serve daemon
@@ -474,33 +555,6 @@ impl ArtifactCache {
         self.mem_fn.insert(key, artifact.clone());
     }
 
-    fn fp_path(&self, key: u64) -> PathBuf {
-        self.root.join("fp").join(format!("{key:016x}.fpt"))
-    }
-
-    /// Looks up a function's own-footprint artifact by content key.
-    pub fn lookup_fp(&mut self, key: u64) -> Option<FootprintArtifact> {
-        if let Some(a) = self.mem_fp.get(&key) {
-            return Some(a.clone());
-        }
-        let path = self.fp_path(key);
-        let bytes = fs::read(&path).ok()?;
-        let artifact = decode_fp_artifact(&bytes)?;
-        touch_for_lru(&path);
-        self.mem_fp.insert(key, artifact.clone());
-        Some(artifact)
-    }
-
-    /// Stores a function's own-footprint artifact (idempotent,
-    /// best-effort on disk — like [`ArtifactCache::store_fn`]).
-    pub fn store_fp(&mut self, key: u64, artifact: &FootprintArtifact) {
-        if self.mem_fp.get(&key) == Some(artifact) {
-            return;
-        }
-        let _ = write_atomically(&self.fp_path(key), &encode_fp_artifact(artifact));
-        self.mem_fp.insert(key, artifact.clone());
-    }
-
     /// Looks up the IPET entry stored for a `(function, mode)` structure
     /// key. The caller must still compare [`IpetEntry::full_key`] before
     /// trusting the solution.
@@ -524,6 +578,34 @@ impl ArtifactCache {
         let _ = write_atomically(&self.ipet_path(struct_key), &encode_ipet_entry(entry));
         self.mem_ipet.insert(struct_key, entry.clone());
     }
+
+    fn unit_path(&self, key: u64) -> PathBuf {
+        self.root.join("unit").join(format!("{key:016x}.unt"))
+    }
+
+    /// Looks up a unit artifact by [`unit_key`]. Decoding checks that
+    /// every recorded cache state has exactly the geometry `machine`
+    /// configures; anything else is a miss. The caller must still
+    /// validate the artifact against the unit's analyzed CFG.
+    ///
+    /// Unit artifacts bypass the in-memory layer the other kinds keep:
+    /// the analyzer looks each unit up at most once per run and holds
+    /// the decoded units itself, so a second copy would only add to the
+    /// run's peak memory.
+    #[must_use]
+    pub fn lookup_unit(&self, key: u64, machine: &MachineConfig) -> Option<UnitArtifact> {
+        let path = self.unit_path(key);
+        let bytes = fs::read(&path).ok()?;
+        let artifact = decode_unit_artifact(&bytes, machine)?;
+        touch_for_lru(&path);
+        Some(artifact)
+    }
+
+    /// Stores (or overwrites) a unit artifact; best-effort on disk, like
+    /// [`ArtifactCache::store_fn`].
+    pub fn store_unit(&self, key: u64, artifact: &UnitArtifact) {
+        let _ = write_atomically(&self.unit_path(key), &encode_unit_artifact(artifact));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -533,7 +615,7 @@ impl ArtifactCache {
 /// What one [`ArtifactCache::gc`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
-    /// Artifact files found across `fn/`, `fp/`, and `ipet/`.
+    /// Artifact files found across every artifact subdirectory.
     pub scanned: usize,
     /// Their total size before eviction.
     pub bytes_before: u64,
@@ -558,7 +640,9 @@ impl fmt::Display for GcStats {
 
 impl ArtifactCache {
     /// The artifact subdirectories, in deterministic order.
-    const KINDS: [&'static str; 3] = ["fn", "fp", "ipet"];
+    const KINDS: [&'static str; 3] = ["fn", "ipet", "unit"];
+    /// The artifact file extension of each of [`Self::KINDS`].
+    const EXTENSIONS: [&'static str; 3] = ["art", "sol", "unt"];
 
     /// Removes temp files left behind by crashed or killed writers.
     ///
@@ -645,7 +729,7 @@ impl ArtifactCache {
                 let entry = entry?;
                 let name = entry.file_name();
                 let Some(name) = name.to_str() else { continue };
-                let expected_ext = ["art", "fpt", "sol"][ki];
+                let expected_ext = Self::EXTENSIONS[ki];
                 let Some(stem) = name.strip_suffix(&format!(".{expected_ext}")) else {
                     continue;
                 };
@@ -676,16 +760,15 @@ impl ArtifactCache {
             stats.bytes_after = stats.bytes_after.saturating_sub(size);
             stats.evicted += 1;
             if let Some(key) = key {
-                match kind {
-                    0 => {
+                match Self::KINDS[kind] {
+                    "fn" => {
                         self.mem_fn.remove(&key);
                     }
-                    1 => {
-                        self.mem_fp.remove(&key);
-                    }
-                    _ => {
+                    "ipet" => {
                         self.mem_ipet.remove(&key);
                     }
+                    // Unit artifacts have no in-memory copy.
+                    _ => {}
                 }
             }
         }
@@ -791,143 +874,70 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
 // Codec
 // ---------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+/// Starts an artifact of one kind: magic, cache version, kind byte.
+fn enc(kind: u8) -> Writer {
+    let mut w = Writer::new();
+    w.bytes(MAGIC);
+    w.u32(CACHE_VERSION);
+    w.u8(kind);
+    w
 }
 
-impl Enc {
-    fn new(kind: u8) -> Enc {
-        let mut buf = Vec::with_capacity(256);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&CACHE_VERSION.to_le_bytes());
-        buf.push(kind);
-        Enc { buf }
-    }
+/// Appends the payload digest and yields the final bytes. Structural
+/// validation alone cannot catch a bit flip that leaves lengths and
+/// invariants intact but changes a cycle count — the checksum turns
+/// *any* corruption into a decode failure, i.e. a cache miss.
+fn seal(w: Writer) -> Vec<u8> {
+    let mut buf = w.into_bytes();
+    let digest = wcet_isa::hash::hash_bytes(&buf);
+    buf.extend_from_slice(&digest.to_le_bytes());
+    buf
+}
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+/// Opens a sealed artifact of `kind` for decoding: `None` unless the
+/// payload digest, magic, version, and kind byte all check out.
+fn dec(bytes: &[u8], kind: u8) -> Option<Reader<'_>> {
+    // Verify the trailing payload digest first: flipped bits anywhere
+    // in the body must read as a miss, never as data.
+    if bytes.len() < 8 {
+        return None;
     }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    let (body, tail) = bytes.split_at(bytes.len() - 8);
+    let digest = u64::from_le_bytes(tail.try_into().ok()?);
+    if wcet_isa::hash::hash_bytes(body) != digest {
+        return None;
     }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    let mut d = Reader::new(body);
+    if d.take(4)? != MAGIC.as_slice() || d.u32()? != CACHE_VERSION || d.u8()? != kind {
+        return None;
     }
+    Some(d)
+}
 
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn addr_map(&mut self, map: &BTreeMap<Addr, Vec<Addr>>) {
-        self.usize(map.len());
-        for (at, targets) in map {
-            self.u32(at.0);
-            self.usize(targets.len());
-            for t in targets {
-                self.u32(t.0);
-            }
+fn encode_addr_map(e: &mut Writer, map: &BTreeMap<Addr, Vec<Addr>>) {
+    e.usize(map.len());
+    for (at, targets) in map {
+        e.u32(at.0);
+        e.usize(targets.len());
+        for t in targets {
+            e.u32(t.0);
         }
-    }
-
-    /// Appends the payload digest and yields the final bytes. Structural
-    /// validation alone cannot catch a bit flip that leaves lengths and
-    /// invariants intact but changes a cycle count — the checksum turns
-    /// *any* corruption into a decode failure, i.e. a cache miss.
-    fn seal(mut self) -> Vec<u8> {
-        let digest = wcet_isa::hash::hash_bytes(&self.buf);
-        self.buf.extend_from_slice(&digest.to_le_bytes());
-        self.buf
     }
 }
 
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8], kind: u8) -> Option<Dec<'a>> {
-        // Verify the trailing payload digest first: flipped bits anywhere
-        // in the body must read as a miss, never as data.
-        if bytes.len() < 8 {
-            return None;
+fn decode_addr_map(d: &mut Reader<'_>) -> Option<BTreeMap<Addr, Vec<Addr>>> {
+    let n = d.length()?;
+    let mut map = BTreeMap::new();
+    for _ in 0..n {
+        let at = Addr(d.u32()?);
+        let k = d.length()?;
+        let mut targets = Vec::with_capacity(k.min(1024));
+        for _ in 0..k {
+            targets.push(Addr(d.u32()?));
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let digest = u64::from_le_bytes(tail.try_into().ok()?);
-        if wcet_isa::hash::hash_bytes(body) != digest {
-            return None;
-        }
-        let mut d = Dec {
-            bytes: body,
-            pos: 0,
-        };
-        if d.take(4)? != MAGIC.as_slice() || d.u32()? != CACHE_VERSION || d.u8()? != kind {
-            return None;
-        }
-        Some(d)
+        map.insert(at, targets);
     }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.take(8)?;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-
-    fn usize(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok()
-    }
-
-    /// A length read from untrusted bytes, sanity-capped so a corrupted
-    /// file cannot request a huge allocation.
-    fn len(&mut self) -> Option<usize> {
-        let n = self.usize()?;
-        (n <= self.bytes.len().max(1 << 20)).then_some(n)
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let n = self.len()?;
-        String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
-
-    fn addr_map(&mut self) -> Option<BTreeMap<Addr, Vec<Addr>>> {
-        let n = self.len()?;
-        let mut map = BTreeMap::new();
-        for _ in 0..n {
-            let at = Addr(self.u32()?);
-            let k = self.len()?;
-            let mut targets = Vec::with_capacity(k.min(1024));
-            for _ in 0..k {
-                targets.push(Addr(self.u32()?));
-            }
-            map.insert(at, targets);
-        }
-        Some(map)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
+    Some(map)
 }
 
 fn rule_to_u8(rule: RuleId) -> u8 {
@@ -941,7 +951,7 @@ fn rule_from_u8(v: u8) -> Option<RuleId> {
     RuleId::ALL.get(v as usize).copied()
 }
 
-fn bound_to_bytes(e: &mut Enc, result: &BoundResult) {
+fn bound_to_bytes(e: &mut Writer, result: &BoundResult) {
     match result {
         BoundResult::Bounded {
             max_iterations,
@@ -968,7 +978,7 @@ fn bound_to_bytes(e: &mut Enc, result: &BoundResult) {
     }
 }
 
-fn bound_from_bytes(d: &mut Dec<'_>) -> Option<BoundResult> {
+fn bound_from_bytes(d: &mut Reader<'_>) -> Option<BoundResult> {
     match d.u8()? {
         0 => {
             let max_iterations = d.u64()?;
@@ -999,9 +1009,9 @@ fn bound_from_bytes(d: &mut Dec<'_>) -> Option<BoundResult> {
 }
 
 fn encode_fn_artifact(a: &FunctionArtifact) -> Vec<u8> {
-    let mut e = Enc::new(b'F');
-    e.addr_map(&a.hint_calls);
-    e.addr_map(&a.hint_jumps);
+    let mut e = enc(b'F');
+    encode_addr_map(&mut e, &a.hint_calls);
+    encode_addr_map(&mut e, &a.hint_jumps);
     e.usize(a.findings.len());
     for f in &a.findings {
         e.u8(rule_to_u8(f.rule));
@@ -1047,14 +1057,29 @@ fn encode_fn_artifact(a: &FunctionArtifact) -> Vec<u8> {
         }
         None => e.u8(0),
     }
-    e.seal()
+    match &a.footprints {
+        Some(fps) => {
+            e.u8(1);
+            for fp in [&fps.icache, &fps.dcache] {
+                match fp {
+                    Some(fp) => {
+                        e.u8(1);
+                        encode_cache_footprint(&mut e, fp);
+                    }
+                    None => e.u8(0),
+                }
+            }
+        }
+        None => e.u8(0),
+    }
+    seal(e)
 }
 
 fn decode_fn_artifact(bytes: &[u8]) -> Option<FunctionArtifact> {
-    let mut d = Dec::new(bytes, b'F')?;
-    let hint_calls = d.addr_map()?;
-    let hint_jumps = d.addr_map()?;
-    let n_findings = d.len()?;
+    let mut d = dec(bytes, b'F')?;
+    let hint_calls = decode_addr_map(&mut d)?;
+    let hint_jumps = decode_addr_map(&mut d)?;
+    let n_findings = d.length()?;
     let mut findings = Vec::with_capacity(n_findings.min(1024));
     for _ in 0..n_findings {
         let rule = rule_from_u8(d.u8()?)?;
@@ -1079,18 +1104,18 @@ fn decode_fn_artifact(bytes: &[u8]) -> Option<FunctionArtifact> {
         1 => true,
         _ => return None,
     };
-    let n_bounds = d.len()?;
+    let n_bounds = d.length()?;
     let mut bounds = Vec::with_capacity(n_bounds.min(1024));
     for _ in 0..n_bounds {
         let id = d.usize()?;
         bounds.push((id, bound_from_bytes(&mut d)?));
     }
-    let n_w = d.len()?;
+    let n_w = d.length()?;
     let mut times_wcet = Vec::with_capacity(n_w.min(1 << 16));
     for _ in 0..n_w {
         times_wcet.push(d.u64()?);
     }
-    let n_b = d.len()?;
+    let n_b = d.length()?;
     let mut times_bcet = Vec::with_capacity(n_b.min(1 << 16));
     for _ in 0..n_b {
         times_bcet.push(d.u64()?);
@@ -1105,6 +1130,22 @@ fn decode_fn_artifact(bytes: &[u8]) -> Option<FunctionArtifact> {
         1 => Some(d.u64()?),
         _ => return None,
     };
+    let footprints = match d.u8()? {
+        0 => None,
+        1 => {
+            let mut fps = [None, None];
+            for fp in &mut fps {
+                *fp = match d.u8()? {
+                    0 => None,
+                    1 => Some(decode_cache_footprint(&mut d)?),
+                    _ => return None,
+                };
+            }
+            let [icache, dcache] = fps;
+            Some(FootprintArtifact { icache, dcache })
+        }
+        _ => return None,
+    };
     d.done().then_some(FunctionArtifact {
         hint_calls,
         hint_jumps,
@@ -1117,10 +1158,11 @@ fn decode_fn_artifact(bytes: &[u8]) -> Option<FunctionArtifact> {
         times_bcet,
         cache_summary,
         pipeline_digest,
+        footprints,
     })
 }
 
-fn encode_cache_footprint(e: &mut Enc, fp: &wcet_micro::footprint::CacheFootprint) {
+fn encode_cache_footprint(e: &mut Writer, fp: &wcet_micro::footprint::CacheFootprint) {
     use wcet_micro::footprint::SetFootprint;
     let config = fp.config();
     e.usize(config.sets);
@@ -1141,9 +1183,8 @@ fn encode_cache_footprint(e: &mut Enc, fp: &wcet_micro::footprint::CacheFootprin
     }
 }
 
-fn decode_cache_footprint(d: &mut Dec<'_>) -> Option<wcet_micro::footprint::CacheFootprint> {
+fn decode_cache_footprint(d: &mut Reader<'_>) -> Option<wcet_micro::footprint::CacheFootprint> {
     use std::collections::BTreeSet;
-    use wcet_isa::cache::CacheConfig;
     use wcet_micro::footprint::{CacheFootprint, SetFootprint};
     let sets = d.usize()?;
     let assoc = d.usize()?;
@@ -1166,7 +1207,7 @@ fn decode_cache_footprint(d: &mut Dec<'_>) -> Option<wcet_micro::footprint::Cach
         parts.push(match d.u8()? {
             1 => SetFootprint::Any,
             0 => {
-                let n = d.len()?;
+                let n = d.length()?;
                 let mut lines = BTreeSet::new();
                 for _ in 0..n {
                     lines.insert(d.u32()?);
@@ -1179,35 +1220,7 @@ fn decode_cache_footprint(d: &mut Dec<'_>) -> Option<wcet_micro::footprint::Cach
     CacheFootprint::from_parts(config, parts)
 }
 
-fn encode_fp_artifact(a: &FootprintArtifact) -> Vec<u8> {
-    let mut e = Enc::new(b'P');
-    for fp in [&a.icache, &a.dcache] {
-        match fp {
-            Some(fp) => {
-                e.u8(1);
-                encode_cache_footprint(&mut e, fp);
-            }
-            None => e.u8(0),
-        }
-    }
-    e.seal()
-}
-
-fn decode_fp_artifact(bytes: &[u8]) -> Option<FootprintArtifact> {
-    let mut d = Dec::new(bytes, b'P')?;
-    let mut fps = [None, None];
-    for fp in &mut fps {
-        *fp = match d.u8()? {
-            0 => None,
-            1 => Some(decode_cache_footprint(&mut d)?),
-            _ => return None,
-        };
-    }
-    let [icache, dcache] = fps;
-    d.done().then_some(FootprintArtifact { icache, dcache })
-}
-
-fn encode_wcet_result(e: &mut Enc, r: &WcetResult) {
+fn encode_wcet_result(e: &mut Writer, r: &WcetResult) {
     e.u64(r.wcet_cycles);
     e.usize(r.block_counts.len());
     for (b, c) in &r.block_counts {
@@ -1220,15 +1233,15 @@ fn encode_wcet_result(e: &mut Enc, r: &WcetResult) {
     }
 }
 
-fn decode_wcet_result(d: &mut Dec<'_>) -> Option<WcetResult> {
+fn decode_wcet_result(d: &mut Reader<'_>) -> Option<WcetResult> {
     let wcet_cycles = d.u64()?;
-    let n_counts = d.len()?;
+    let n_counts = d.length()?;
     let mut block_counts = BTreeMap::new();
     for _ in 0..n_counts {
         let b = BlockId(d.usize()?);
         block_counts.insert(b, d.u64()?);
     }
-    let n_path = d.len()?;
+    let n_path = d.length()?;
     let mut worst_path = Vec::with_capacity(n_path.min(1 << 16));
     for _ in 0..n_path {
         worst_path.push(BlockId(d.usize()?));
@@ -1241,18 +1254,18 @@ fn decode_wcet_result(d: &mut Dec<'_>) -> Option<WcetResult> {
 }
 
 fn encode_ipet_entry(entry: &IpetEntry) -> Vec<u8> {
-    let mut e = Enc::new(b'I');
+    let mut e = enc(b'I');
     e.u64(entry.full_key);
     encode_wcet_result(&mut e, &entry.wcet);
     encode_wcet_result(&mut e, &entry.bcet);
     e.u64(entry.lp.pivots);
     e.u64(entry.lp.refactorizations);
     e.u64(entry.lp.presolve_removed);
-    e.seal()
+    seal(e)
 }
 
 fn decode_ipet_entry(bytes: &[u8]) -> Option<IpetEntry> {
-    let mut d = Dec::new(bytes, b'I')?;
+    let mut d = dec(bytes, b'I')?;
     let full_key = d.u64()?;
     let wcet = decode_wcet_result(&mut d)?;
     let bcet = decode_wcet_result(&mut d)?;
@@ -1266,6 +1279,133 @@ fn decode_ipet_entry(bytes: &[u8]) -> Option<IpetEntry> {
         wcet,
         bcet,
         lp,
+    })
+}
+
+fn encode_site_map<T>(e: &mut Writer, map: &BTreeMap<Addr, T>, item: impl Fn(&T, &mut Writer)) {
+    e.usize(map.len());
+    for (site, value) in map {
+        e.u32(site.0);
+        item(value, e);
+    }
+}
+
+fn decode_site_map<T>(
+    d: &mut Reader<'_>,
+    item: impl Fn(&mut Reader<'_>) -> Option<T>,
+) -> Option<BTreeMap<Addr, T>> {
+    let n = d.length()?;
+    let mut map = BTreeMap::new();
+    for _ in 0..n {
+        let site = Addr(d.u32()?);
+        if map.insert(site, item(d)?).is_some() {
+            return None;
+        }
+    }
+    Some(map)
+}
+
+fn encode_cache_calls(e: &mut Writer, calls: Option<&BTreeMap<Addr, CacheStates>>) {
+    match calls {
+        Some(map) => {
+            e.u8(1);
+            encode_site_map(e, map, CacheStates::encode_into);
+        }
+        None => e.u8(0),
+    }
+}
+
+/// Per-site cache states, present exactly when the machine configures
+/// the cache (`config`), each of that cache's geometry.
+fn decode_cache_calls(
+    d: &mut Reader<'_>,
+    config: Option<&CacheConfig>,
+) -> Option<Option<BTreeMap<Addr, CacheStates>>> {
+    match (d.u8()?, config) {
+        (0, None) => Some(None),
+        (1, Some(cc)) => Some(Some(decode_site_map(d, |d| {
+            CacheStates::decode_from(d, cc)
+        })?)),
+        _ => None,
+    }
+}
+
+fn encode_unit_artifact(a: &UnitArtifact) -> Vec<u8> {
+    let mut e = enc(b'U');
+    e.bool(a.peeled);
+    e.usize(a.bounds.results().len());
+    for (id, result) in a.bounds.results() {
+        e.usize(id.0);
+        bound_to_bytes(&mut e, result);
+    }
+    e.usize(a.times.len());
+    for b in (0..a.times.len()).map(BlockId) {
+        e.u64(a.times.wcet(b));
+        e.u64(a.times.bcet(b));
+        e.u64(a.times.first_miss(b));
+    }
+    match a.cache_summary {
+        Some((h, m, fm, nc)) => {
+            e.u8(1);
+            for n in [h, m, fm, nc] {
+                e.usize(n);
+            }
+        }
+        None => e.u8(0),
+    }
+    encode_site_map(&mut e, &a.pre_call, AbstractState::encode_into);
+    encode_cache_calls(&mut e, a.icache_calls.as_ref());
+    encode_cache_calls(&mut e, a.dcache_calls.as_ref());
+    match &a.pipeline_calls {
+        Some(map) => {
+            e.u8(1);
+            encode_site_map(&mut e, map, PipelineStates::encode_into);
+        }
+        None => e.u8(0),
+    }
+    seal(e)
+}
+
+fn decode_unit_artifact(bytes: &[u8], machine: &MachineConfig) -> Option<UnitArtifact> {
+    let mut d = dec(bytes, b'U')?;
+    let peeled = d.bool()?;
+    let n_bounds = d.length()?;
+    let mut bounds = Vec::with_capacity(n_bounds.min(1024));
+    for _ in 0..n_bounds {
+        let id = LoopId(d.usize()?);
+        bounds.push((id, bound_from_bytes(&mut d)?));
+    }
+    let n_blocks = d.length()?;
+    let mut raw: [Vec<u64>; 3] = Default::default();
+    for _ in 0..n_blocks {
+        for column in &mut raw {
+            column.push(d.u64()?);
+        }
+    }
+    let [wcet, bcet, first_miss] = raw;
+    let times = BlockTimes::from_raw_with_first_miss(wcet, bcet, first_miss)?;
+    let cache_summary = match d.u8()? {
+        0 => None,
+        1 => Some((d.usize()?, d.usize()?, d.usize()?, d.usize()?)),
+        _ => return None,
+    };
+    let pre_call = decode_site_map(&mut d, AbstractState::decode_from)?;
+    let icache_calls = decode_cache_calls(&mut d, machine.icache.as_ref())?;
+    let dcache_calls = decode_cache_calls(&mut d, machine.dcache.as_ref())?;
+    let pipeline_calls = match d.u8()? {
+        0 => None,
+        1 => Some(decode_site_map(&mut d, PipelineStates::decode_from)?),
+        _ => return None,
+    };
+    d.done().then_some(UnitArtifact {
+        peeled,
+        bounds: LoopBounds::from_results(bounds),
+        times,
+        cache_summary,
+        pre_call,
+        icache_calls,
+        dcache_calls,
+        pipeline_calls,
     })
 }
 
@@ -1336,6 +1476,7 @@ mod tests {
             times_bcet: vec![4, 40, 7],
             cache_summary: Some((12, 3, 1)),
             pipeline_digest: Some(0x1234_5678_9abc_def0),
+            footprints: None,
         }
     }
 
@@ -1437,6 +1578,9 @@ mod tests {
 
     #[test]
     fn fp_artifact_round_trip_and_corruption() {
+        // Own footprints ride in the function artifact: they round-trip
+        // with it, persist across instances, and any flipped bit in their
+        // bytes reads as a miss.
         use wcet_isa::cache::CacheConfig;
         use wcet_micro::footprint::CacheFootprint;
         let mut icache_fp = CacheFootprint::empty(&CacheConfig::small_icache());
@@ -1444,34 +1588,44 @@ mod tests {
         icache_fp.absorb_addr(Addr(0x0010_0200));
         let mut dcache_fp = CacheFootprint::empty(&CacheConfig::small_dcache());
         dcache_fp.absorb_range(Addr(0x8000), Addr(0x8fff));
-        let artifact = FootprintArtifact {
-            icache: Some(icache_fp),
-            dcache: Some(dcache_fp),
+        let artifact = FunctionArtifact {
+            footprints: Some(FootprintArtifact {
+                icache: Some(icache_fp),
+                dcache: Some(dcache_fp),
+            }),
+            ..sample_artifact()
         };
-        let bytes = encode_fp_artifact(&artifact);
-        assert_eq!(decode_fp_artifact(&bytes), Some(artifact.clone()));
-        // Flips anywhere must read as misses.
+        let bytes = encode_fn_artifact(&artifact);
+        assert_eq!(decode_fn_artifact(&bytes), Some(artifact.clone()));
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x20;
-            assert_eq!(decode_fp_artifact(&bad), None, "flip at {i}");
+            assert_eq!(decode_fn_artifact(&bad), None, "flip at {i}");
         }
-        // Kind bytes separate artifact families.
-        assert_eq!(decode_fn_artifact(&bytes), None);
         // The cache-less variant round-trips too.
-        let none = FootprintArtifact::default();
-        assert_eq!(decode_fp_artifact(&encode_fp_artifact(&none)), Some(none));
+        let none = FunctionArtifact {
+            footprints: Some(FootprintArtifact::default()),
+            ..sample_artifact()
+        };
+        assert_eq!(
+            decode_fn_artifact(&encode_fn_artifact(&none)),
+            Some(none.clone())
+        );
+        assert_ne!(
+            encode_fn_artifact(&none),
+            encode_fn_artifact(&sample_artifact())
+        );
 
         // And the store/lookup path persists across instances.
         let dir = std::env::temp_dir().join(format!("wcet-incr-fp-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         {
             let mut cache = ArtifactCache::open(&dir).unwrap();
-            assert_eq!(cache.lookup_fp(11), None);
-            cache.store_fp(11, &artifact);
+            assert_eq!(cache.lookup_fn(11), None);
+            cache.store_fn(11, &artifact);
         }
         let mut cache = ArtifactCache::open(&dir).unwrap();
-        assert_eq!(cache.lookup_fp(11), Some(artifact));
+        assert_eq!(cache.lookup_fn(11), Some(artifact));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1576,13 +1730,13 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         // Plant the leftovers before the first open: the open-time
         // sweep runs once per store root per process.
-        for sub in ["fn", "fp", "ipet"] {
+        for sub in ArtifactCache::KINDS {
             fs::create_dir_all(dir.join(sub)).unwrap();
         }
         // A pid far above any kernel pid_max: provably dead.
         let dead_pid = 4_000_000_000u32;
         let legacy = dir.join("fn").join(format!("aa.art.tmp.{dead_pid}"));
-        let seqed = dir.join("fp").join(format!("bb.fpt.tmp.{dead_pid}.17"));
+        let seqed = dir.join("unit").join(format!("bb.unt.tmp.{dead_pid}.17"));
         let garbled = dir.join("ipet").join("cc.sol.tmp.notapid");
         let ours = dir
             .join("fn")

@@ -63,6 +63,7 @@ pub mod arch;
 pub mod asm;
 pub mod builder;
 pub mod cache;
+pub mod codec;
 pub mod decode;
 pub mod disasm;
 pub mod encode;

@@ -97,6 +97,12 @@ impl AbstractCache {
         &self.config
     }
 
+    /// Which bound this instance tracks.
+    #[must_use]
+    pub fn polarity(&self) -> Polarity {
+        self.polarity
+    }
+
     fn set_of(&self, line: u32) -> usize {
         (line as usize) % self.config.sets
     }
@@ -417,6 +423,75 @@ impl AbstractCache {
                 h.write_u32(u32::from(age));
             }
         }
+    }
+
+    /// Serializes the abstract cache for the incremental engine's unit
+    /// artifacts — the byte-level twin of [`AbstractCache::digest_into`].
+    pub fn encode_into(&self, w: &mut wcet_isa::codec::Writer) {
+        w.u8(match self.polarity {
+            Polarity::Must => 0,
+            Polarity::May => 1,
+            Polarity::Persist => 2,
+        });
+        w.usize(self.config.sets);
+        w.usize(self.config.assoc);
+        w.u32(self.config.line_bytes);
+        w.u32(self.config.hit_latency);
+        for (set, &poisoned) in self.sets.iter().zip(&self.poison) {
+            w.bool(poisoned);
+            w.usize(set.len());
+            for (&line, &age) in set {
+                w.u32(line);
+                w.u8(age);
+            }
+        }
+    }
+
+    /// Inverse of [`AbstractCache::encode_into`]. `None` unless the
+    /// encoded geometry equals `config` and every line sits in its own
+    /// set at an age the polarity admits (below `assoc`; the persistence
+    /// instance also at the evicted top) — a malformed state must read as
+    /// a cache miss, never index out of bounds later.
+    pub fn decode_from(
+        r: &mut wcet_isa::codec::Reader<'_>,
+        config: &CacheConfig,
+    ) -> Option<AbstractCache> {
+        let polarity = match r.u8()? {
+            0 => Polarity::Must,
+            1 => Polarity::May,
+            2 => Polarity::Persist,
+            _ => return None,
+        };
+        let geometry = (r.usize()?, r.usize()?, r.u32()?, r.u32()?);
+        if geometry
+            != (
+                config.sets,
+                config.assoc,
+                config.line_bytes,
+                config.hit_latency,
+            )
+        {
+            return None;
+        }
+        let max_age = match polarity {
+            Polarity::Persist => config.assoc,
+            Polarity::Must | Polarity::May => config.assoc.saturating_sub(1),
+        };
+        let mut cache = AbstractCache::new(config.clone(), polarity);
+        for i in 0..config.sets {
+            cache.poison[i] = r.bool()?;
+            let n = r.length()?;
+            for _ in 0..n {
+                let (line, age) = (r.u32()?, r.u8()?);
+                if cache.set_of(line) != i || usize::from(age) > max_age {
+                    return None;
+                }
+                if cache.sets[i].insert(line, age).is_some() {
+                    return None;
+                }
+            }
+        }
+        Some(cache)
     }
 
     /// True if an unknown-address access has been seen on some path, which

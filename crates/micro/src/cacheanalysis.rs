@@ -136,6 +136,65 @@ impl CacheStates {
         h.finish()
     }
 
+    /// Serializes the state for the incremental engine's unit artifacts
+    /// (a replayed caller's per-call-site ACS) — the byte-level twin of
+    /// [`CacheStates::digest`].
+    pub fn encode_into(&self, w: &mut wcet_isa::codec::Writer) {
+        self.must.encode_into(w);
+        self.may.encode_into(w);
+        match &self.persist {
+            Some(p) => {
+                w.u8(1);
+                p.encode_into(w);
+            }
+            None => w.u8(0),
+        }
+    }
+
+    /// Inverse of [`CacheStates::encode_into`]: `None` when the bytes are
+    /// malformed, an instance has the wrong polarity, or the encoded
+    /// geometry differs from `config`.
+    pub fn decode_from(
+        r: &mut wcet_isa::codec::Reader<'_>,
+        config: &CacheConfig,
+    ) -> Option<CacheStates> {
+        let must = AbstractCache::decode_from(r, config)?;
+        let may = AbstractCache::decode_from(r, config)?;
+        let persist = match r.u8()? {
+            0 => None,
+            1 => Some(AbstractCache::decode_from(r, config)?),
+            _ => return None,
+        };
+        CacheStates::from_parts(must, may, persist)
+    }
+
+    /// Assembles a state from its instances. `None` unless they are a
+    /// must, a may, and optionally a persistence instance, all of one
+    /// geometry.
+    #[must_use]
+    pub fn from_parts(
+        must: AbstractCache,
+        may: AbstractCache,
+        persist: Option<AbstractCache>,
+    ) -> Option<CacheStates> {
+        let polarities = (
+            must.polarity(),
+            may.polarity(),
+            persist.as_ref().map(AbstractCache::polarity),
+        );
+        let shaped = matches!(
+            polarities,
+            (
+                Polarity::Must,
+                Polarity::May,
+                None | Some(Polarity::Persist)
+            )
+        );
+        let one_geometry = must.config() == may.config()
+            && persist.as_ref().is_none_or(|p| p.config() == must.config());
+        (shaped && one_geometry).then_some(CacheStates { must, may, persist })
+    }
+
     fn is_subsumed_by(&self, other: &CacheStates) -> bool {
         let persist_ok = match (&self.persist, &other.persist) {
             (Some(a), Some(b)) => a.is_subsumed_by(b),

@@ -103,6 +103,27 @@ impl CacheFootprint {
             .all(|s| matches!(s, SetFootprint::Lines(ls) if ls.is_empty()))
     }
 
+    /// Absorbs the footprint into a stable hasher: the incremental
+    /// engine keys a caller's unit artifacts on the footprints its call
+    /// sites are priced with.
+    pub fn digest_into(&self, h: &mut wcet_isa::hash::StableHasher) {
+        h.write_usize(self.config.sets);
+        h.write_usize(self.config.assoc);
+        h.write_u32(self.config.line_bytes);
+        h.write_u32(self.config.hit_latency);
+        for set in &self.sets {
+            match set {
+                SetFootprint::Any => h.write_u32(u32::MAX),
+                SetFootprint::Lines(ls) => {
+                    h.write_usize(ls.len());
+                    for &l in ls {
+                        h.write_u32(l);
+                    }
+                }
+            }
+        }
+    }
+
     /// True if some set degraded to [`SetFootprint::Any`].
     #[must_use]
     pub fn has_unknown_set(&self) -> bool {

@@ -169,6 +169,37 @@ impl PipelineStates {
         h.finish()
     }
 
+    /// Serializes the state for the incremental engine's unit artifacts
+    /// (a replayed caller's per-call-site entry pipes) — the byte-level
+    /// twin of [`PipelineStates::digest`].
+    pub fn encode_into(&self, w: &mut wcet_isa::codec::Writer) {
+        for dir in [&self.worst, &self.best] {
+            w.usize(dir.len());
+            for v in dir {
+                for &c in v {
+                    w.u64(c);
+                }
+            }
+        }
+    }
+
+    /// Inverse of [`PipelineStates::encode_into`]; `None` on malformed
+    /// bytes or an empty polarity (no analysis state has one).
+    pub fn decode_from(r: &mut wcet_isa::codec::Reader<'_>) -> Option<PipelineStates> {
+        let mut dirs: [Vec<Resid>; 2] = [Vec::new(), Vec::new()];
+        for dir in &mut dirs {
+            let n = r.length()?;
+            if n == 0 {
+                return None;
+            }
+            for _ in 0..n {
+                dir.push([r.u64()?, r.u64()?, r.u64()?]);
+            }
+        }
+        let [worst, best] = dirs;
+        Some(PipelineStates { worst, best })
+    }
+
     /// Number of vectors tracked (both polarities) — widening telemetry.
     #[must_use]
     pub fn width(&self) -> usize {
@@ -496,16 +527,26 @@ pub fn analyze(
                 let predicted_taken = TimingModel::btfnt_predicts_taken(pc, taken);
                 let not_taken_cost = u64::from(machine.timing.branch_not_taken);
                 let taken_cost = u64::from(machine.timing.branch_taken);
+                if taken == fallthrough {
+                    // A branch to its own fall-through: the one merged
+                    // edge is reached taken or not taken, predicted or
+                    // mispredicted (the interpreter drains on a
+                    // mispredict whatever the target), so it carries the
+                    // join of all three outcomes.
+                    let merged = transfer(in_state, block, Some(taken_cost))
+                        .join(&transfer(in_state, block, Some(not_taken_cost)))
+                        .join(&PipelineStates::drained());
+                    return cfg.succs[block.0]
+                        .iter()
+                        .map(|&succ| (succ, merged.clone()))
+                        .collect();
+                }
                 cfg.succs[block.0]
                     .iter()
                     .map(|&succ| {
                         let start = cfg.block(succ).start;
                         let is_taken_edge = start == taken;
-                        let predicted = if taken == fallthrough {
-                            true
-                        } else {
-                            is_taken_edge == predicted_taken
-                        };
+                        let predicted = is_taken_edge == predicted_taken;
                         let state = if predicted {
                             let exec = if is_taken_edge {
                                 taken_cost

@@ -1,15 +1,18 @@
 //! Property tests of the abstract-cache domain algebra itself: joins can
 //! only *weaken* classifications (a merge never invents an always-hit,
 //! always-miss, or first-miss claim that one of the incoming paths did
-//! not support), and `digest_into` / `is_subsumed_by` agree about the
-//! per-set poison state — including the persistence domain.
+//! not support), `digest_into` / `is_subsumed_by` agree about the
+//! per-set poison state — including the persistence domain — and the
+//! unit-artifact codec round-trips every state exactly.
 
 use proptest::prelude::*;
 
 use wcet_isa::cache::CacheConfig;
+use wcet_isa::codec::{Reader, Writer};
 use wcet_isa::hash::StableHasher;
 use wcet_isa::Addr;
 use wcet_micro::acs::{classify_with_persist, AbstractCache, Classification, Polarity};
+use wcet_micro::cacheanalysis::CacheStates;
 use wcet_micro::footprint::CacheFootprint;
 
 fn geometry() -> impl Strategy<Value = CacheConfig> {
@@ -188,5 +191,46 @@ proptest! {
                 prop_assert_ne!(digest(s), digest(&poisoned));
             }
         }
+    }
+
+    /// The unit-artifact codec is exact: every instance of all three
+    /// polarities — poisoned sets included — and the must/may(/persist)
+    /// states assembled from them decode to the value that was encoded,
+    /// with an identical digest, and only under the geometry they were
+    /// encoded with.
+    #[test]
+    fn prop_encode_decode_round_trips(
+        config in geometry(),
+        path in ops(),
+        with_persist in any::<bool>(),
+    ) {
+        let [must, may, persist] = run_path(&config, &path);
+        for cache in [&must, &may, &persist] {
+            let mut w = Writer::new();
+            cache.encode_into(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            let back = AbstractCache::decode_from(&mut r, &config);
+            prop_assert!(r.done(), "decoding consumes every byte");
+            prop_assert_eq!(back.as_ref(), Some(cache));
+            prop_assert_eq!(back.map(|c| digest(&c)), Some(digest(cache)));
+        }
+
+        let states = CacheStates::from_parts(must, may, with_persist.then_some(persist))
+            .expect("one geometry, one instance per polarity");
+        let mut w = Writer::new();
+        states.encode_into(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let back = CacheStates::decode_from(&mut r, &config);
+        prop_assert!(r.done());
+        prop_assert_eq!(back.as_ref().map(CacheStates::digest), Some(states.digest()));
+        prop_assert_eq!(back, Some(states));
+
+        let other = CacheConfig::new(config.sets * 2, config.assoc, 16, 1);
+        prop_assert!(
+            CacheStates::decode_from(&mut Reader::new(&bytes), &other).is_none(),
+            "a different geometry reads as a miss"
+        );
     }
 }

@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 
+use wcet_isa::codec::{Reader, Writer};
 use wcet_isa::interp::MachineConfig;
 use wcet_isa::IsaKind;
 use wcet_micro::pipeline::{PipelineStates, WIDENING_CAP};
@@ -144,5 +145,23 @@ proptest! {
             }
         }
         prop_assert!(s.is_subsumed_by(&s.join(&PipelineStates::drained())));
+    }
+
+    /// The unit-artifact codec is exact: `decode(encode(s)) == s` with an
+    /// identical digest, for every normalized state and for the two
+    /// anchors.
+    #[test]
+    fn prop_encode_decode_round_trips(s in state()) {
+        let machine = MachineConfig::simple_for(IsaKind::House);
+        for s in [s, PipelineStates::drained(), PipelineStates::unknown(&machine)] {
+            let mut w = Writer::new();
+            s.encode_into(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            let back = PipelineStates::decode_from(&mut r);
+            prop_assert!(r.done(), "decoding consumes every byte");
+            prop_assert_eq!(back.as_ref().map(PipelineStates::digest), Some(s.digest()));
+            prop_assert_eq!(back, Some(s));
+        }
     }
 }

@@ -1,15 +1,18 @@
 //! Acceptance tests for VIVU-style context sensitivity (`context_depth`):
 //! strict tightening on the context workloads, byte-identical warm
-//! incremental replays at depth 1 at any thread count, and depth-0
+//! incremental replays at depth 1 at any thread count, unit artifacts
+//! that replay every unchanged *(function, context)* unit, and depth-0
 //! equivalence with the classic pipeline (the golden snapshots pin the
 //! depth-0 bytes themselves).
 
 use std::path::PathBuf;
 
+use wcet_predictability::cfg::callgraph::CallGraph;
 use wcet_predictability::core::analyzer::{AnalysisReport, AnalyzerConfig, WcetAnalyzer};
 use wcet_predictability::core::incr::ArtifactCache;
 use wcet_predictability::core::workload;
 use wcet_predictability::isa::interp::{Interpreter, MachineConfig};
+use wcet_predictability::isa::Addr;
 
 struct TempCache {
     dir: PathBuf,
@@ -107,8 +110,9 @@ fn context_reports_are_thread_invariant() {
 
 /// Warm incremental runs replay byte-identically at depth 1 — at any
 /// thread count — with every function artifact hit and zero IPET
-/// re-solves (per-context solutions are keyed on the context's
-/// entry-state digest).
+/// re-solves (unit artifacts and per-context solutions are keyed on the
+/// function key, the context's entry-state digest, and the callee
+/// footprints).
 #[test]
 fn context_warm_replay_is_byte_identical_at_any_thread_count() {
     for depth in [1usize, 2] {
@@ -142,8 +146,9 @@ fn context_warm_replay_is_byte_identical_at_any_thread_count() {
 }
 
 /// A one-leaf mutation of the call tree under depth 1: the warm report
-/// matches from-scratch byte for byte and only the mutated function's
-/// artifact misses.
+/// matches from-scratch byte for byte, only the mutated function's
+/// artifact misses, and exactly the mutated leaf's contexts are
+/// re-analyzed — every other unit replays from its artifact.
 #[test]
 fn context_incremental_mutation_replays_exactly() {
     let base = workload::call_tree_heavy(2, 3, &[]);
@@ -153,7 +158,7 @@ fn context_incremental_mutation_replays_exactly() {
     let tmp = TempCache::new("mutation");
     let mut cache = tmp.open();
     let analyzer = WcetAnalyzer::with_config(config(1, None));
-    analyzer
+    let cold = analyzer
         .analyze_incremental(&base.image, &mut cache)
         .unwrap();
 
@@ -166,12 +171,85 @@ fn context_incremental_mutation_replays_exactly() {
         "only the mutated leaf re-analyzes: {stats:?}"
     );
     assert_eq!(stats.dirty, 3, "leaf + its dispatcher + main: {stats:?}");
+
+    // The mutated leaf is the one function whose reconstruction changed.
+    let changed: Vec<Addr> = warm
+        .program
+        .functions
+        .iter()
+        .filter(|(f, cfg)| cold.program.functions.get(f) != Some(cfg))
+        .map(|(&f, _)| f)
+        .collect();
+    assert_eq!(changed.len(), 1, "one leaf was edited: {changed:?}");
+    let contexts = CallGraph::build(&warm.program).enumerate_contexts(
+        warm.program.functions.keys(),
+        warm.program.entry,
+        1,
+    );
+    let leaf_contexts = contexts.ctxs_of(changed[0]).len();
+    assert_eq!(
+        stats.units_analyzed, leaf_contexts,
+        "exactly the mutated leaf's contexts miss: {stats:?}"
+    );
+    assert_eq!(
+        stats.units_analyzed + stats.units_replayed,
+        contexts.len(),
+        "every other unit replays: {stats:?}"
+    );
     let fresh = analyzer.analyze(&mutated.image).unwrap();
     assert_eq!(
         canonical(warm),
         canonical(fresh),
         "warm diverged from fresh"
     );
+}
+
+/// A steady-state rerun on the cached machine replays every
+/// *(function, context)* unit from its artifact and solves no IPET
+/// system — with virtual unrolling too, where replayed units re-derive
+/// their peeled CFGs — and still renders byte-identically.
+#[test]
+fn context_steady_state_replays_every_unit() {
+    let w = workload::call_tree_heavy(2, 3, &[]);
+    for unrolling in [false, true] {
+        let analyzer = WcetAnalyzer::with_config(AnalyzerConfig {
+            machine: MachineConfig::with_caches(),
+            unrolling,
+            ..config(1, None)
+        });
+        let tmp = TempCache::new(&format!("steady-{unrolling}"));
+        let plain = analyzer.analyze(&w.image).unwrap();
+        if unrolling {
+            assert!(
+                !plain.analyzed_cfgs.is_empty(),
+                "the workload must exercise peeled units"
+            );
+        }
+        let plain = canonical(plain);
+        let cold = analyzer
+            .analyze_incremental(&w.image, &mut tmp.open())
+            .unwrap();
+        let cold_stats = cold.incr.clone().expect("stats present");
+        assert_eq!(cold_stats.units_replayed, 0, "{cold_stats:?}");
+        assert!(cold_stats.units_analyzed > 0, "{cold_stats:?}");
+        assert_eq!(canonical(cold), plain, "unrolling {unrolling}: cold run");
+
+        let warm = analyzer
+            .analyze_incremental(&w.image, &mut tmp.open())
+            .unwrap();
+        let stats = warm.incr.clone().expect("stats present");
+        assert_eq!(stats.units_analyzed, 0, "unrolling {unrolling}: {stats:?}");
+        assert_eq!(
+            stats.units_replayed, cold_stats.units_analyzed,
+            "unrolling {unrolling}: every unit hits: {stats:?}"
+        );
+        assert_eq!(stats.ipet_solves, 0, "unrolling {unrolling}: {stats:?}");
+        assert_eq!(
+            canonical(warm),
+            plain,
+            "unrolling {unrolling}: warm replay diverged"
+        );
+    }
 }
 
 /// Context sensitivity composes with the cached machine model and

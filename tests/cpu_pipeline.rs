@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use wcet_predictability::core::analyzer::{AnalysisReport, AnalyzerConfig, WcetAnalyzer};
 use wcet_predictability::core::incr::ArtifactCache;
 use wcet_predictability::core::workload::{self, Workload};
+use wcet_predictability::isa::asm::assemble_for;
 use wcet_predictability::isa::interp::{Interpreter, MachineConfig};
 use wcet_predictability::isa::IsaKind;
 
@@ -166,6 +167,49 @@ fn workload_soundness_oracle_pipeline() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// A conditional branch whose target is its own fall-through reaches the
+/// next block taken or not, predicted or mispredicted — and the
+/// interpreter drains the pipe on a mispredict whatever the target — so
+/// the single merged edge must carry all of those pipe states. Both
+/// reproducers, the bare branch and a ten-iteration loop around one, stay
+/// inside the envelope on both ISAs.
+#[test]
+fn degenerate_branch_to_next_is_sound() {
+    let programs = [
+        "main:\n    beq  r0, r0, next\nnext:\n    halt\n",
+        "main:\n    li   r1, 10\nloop:\n    beq  r0, r0, next\nnext:\n    \
+         subi r1, r1, 1\n    bne  r1, r0, loop\n    halt\n",
+    ];
+    for isa in [IsaKind::House, IsaKind::Rv32i] {
+        for src in programs {
+            let image = assemble_for(isa, src).unwrap();
+            let mut machine = MachineConfig::simple_for(isa);
+            machine.pipeline = true;
+            let config = AnalyzerConfig {
+                machine,
+                pipeline: true,
+                isa,
+                ..AnalyzerConfig::new()
+            };
+            let report = WcetAnalyzer::with_config(config.clone())
+                .analyze(&image)
+                .unwrap();
+            let observed = Interpreter::with_config(&image, config.machine)
+                .run(100_000)
+                .unwrap()
+                .cycles;
+            assert!(
+                report.bcet_cycles <= observed && observed <= report.wcet_cycles,
+                "{}: observed {} !in [{}, {}] for\n{src}",
+                isa.name(),
+                observed,
+                report.bcet_cycles,
+                report.wcet_cycles
+            );
         }
     }
 }

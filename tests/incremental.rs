@@ -11,7 +11,9 @@ use proptest::prelude::*;
 use wcet_predictability::core::analyzer::{AnalysisReport, AnalyzerConfig, WcetAnalyzer};
 use wcet_predictability::core::incr::ArtifactCache;
 use wcet_predictability::core::workload;
+use wcet_predictability::isa::cache::CacheConfig;
 use wcet_predictability::isa::interp::MachineConfig;
+use wcet_predictability::micro::CacheStates;
 
 /// A fresh per-test cache directory (cleaned up by the guard).
 struct TempCache {
@@ -265,4 +267,101 @@ fn corrupted_cache_degrades_to_miss() {
         "bad files were overwritten, not skipped: {stats:?}"
     );
     assert_eq!(canonical(healed), reference);
+}
+
+/// How [`bad_unit_artifacts_degrade_to_misses_and_are_overwritten`]
+/// damages a stored unit artifact.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// Flip one payload byte (caught by the payload digest).
+    Corrupt,
+    /// Cut the file in half.
+    Truncate,
+    /// Re-store it, validly sealed, with every call-site cache state
+    /// recorded under a different cache geometry.
+    Geometry,
+}
+
+/// Applies `damage` to the unit artifacts under `root`; returns how many
+/// files it changed.
+fn damage_units(root: &std::path::Path, damage: Damage, machine: &MachineConfig) -> usize {
+    let cache = ArtifactCache::open(root).expect("cache opens");
+    let other = CacheConfig::new(4, 2, 16, 1);
+    let mut damaged = 0;
+    for entry in std::fs::read_dir(root.join("unit")).expect("unit dir exists") {
+        let path = entry.expect("dir entry").path();
+        let mut bytes = std::fs::read(&path).expect("readable");
+        match damage {
+            Damage::Corrupt => {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x20;
+            }
+            Damage::Truncate => bytes.truncate(bytes.len() / 2),
+            Damage::Geometry => {
+                let stem = path.file_stem().and_then(|s| s.to_str()).expect("hex stem");
+                let key = u64::from_str_radix(stem, 16).expect("hex key");
+                let mut artifact = cache.lookup_unit(key, machine).expect("valid artifact");
+                let Some(calls) = artifact.icache_calls.as_mut().filter(|c| !c.is_empty()) else {
+                    continue;
+                };
+                for states in calls.values_mut() {
+                    *states = CacheStates::cold(&other);
+                }
+                cache.store_unit(key, &artifact);
+                damaged += 1;
+                continue;
+            }
+        }
+        std::fs::write(&path, &bytes).expect("writable");
+        damaged += 1;
+    }
+    damaged
+}
+
+/// Corrupt, truncated, and wrong-geometry unit artifacts each degrade to
+/// a miss: the unit is recomputed (the report stays exact) and the bad
+/// file is overwritten, so the next run replays every unit again.
+#[test]
+fn bad_unit_artifacts_degrade_to_misses_and_are_overwritten() {
+    let w = workload::call_tree_heavy(2, 3, &[]);
+    let config = AnalyzerConfig {
+        machine: MachineConfig::with_caches(),
+        context_depth: 1,
+        persistence: true,
+        pipeline: true,
+        ..AnalyzerConfig::new()
+    };
+    let analyzer = WcetAnalyzer::with_config(config.clone());
+    let reference = canonical(analyzer.analyze(&w.image).expect("fresh"));
+    for damage in [Damage::Corrupt, Damage::Truncate, Damage::Geometry] {
+        let tmp = TempCache::new(&format!("unit-{damage:?}"));
+        let cold = analyzer
+            .analyze_incremental(&w.image, &mut tmp.open())
+            .expect("cold run");
+        let units = cold.incr.expect("stats present").units_analyzed;
+        let damaged = damage_units(&tmp.dir, damage, &config.machine);
+        assert!(damaged > 0, "{damage:?}: something to damage");
+
+        let report = analyzer
+            .analyze_incremental(&w.image, &mut tmp.open())
+            .expect("analyzes despite damage");
+        let stats = report.incr.clone().expect("stats present");
+        assert!(
+            stats.units_analyzed >= damaged,
+            "{damage:?}: every damaged unit misses: {stats:?}"
+        );
+        assert_eq!(stats.units_analyzed + stats.units_replayed, units);
+        assert_eq!(canonical(report), reference, "{damage:?}: report is exact");
+
+        let healed = analyzer
+            .analyze_incremental(&w.image, &mut tmp.open())
+            .expect("analyzes from the healed cache");
+        let stats = healed.incr.clone().expect("stats present");
+        assert_eq!(
+            (stats.units_analyzed, stats.units_replayed),
+            (0, units),
+            "{damage:?}: bad files were overwritten: {stats:?}"
+        );
+        assert_eq!(canonical(healed), reference);
+    }
 }

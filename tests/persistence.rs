@@ -12,7 +12,9 @@ use std::path::PathBuf;
 use wcet_predictability::core::analyzer::{AnalysisReport, AnalyzerConfig, WcetAnalyzer};
 use wcet_predictability::core::incr::ArtifactCache;
 use wcet_predictability::core::workload::{self, Workload};
+use wcet_predictability::isa::asm::assemble;
 use wcet_predictability::isa::interp::{Interpreter, MachineConfig};
+use wcet_predictability::isa::Image;
 
 struct TempCache {
     dir: PathBuf,
@@ -206,6 +208,83 @@ fn persistence_warm_replay_is_byte_identical_at_any_thread_count() {
             );
         }
     }
+}
+
+/// `main` loads a heap word, calls `f`, then reloads the word ten times.
+/// `f` loads the two heap words `f_loads` names; `f` costs the same for
+/// any two addresses, so only its dcache footprint depends on them.
+fn footprint_program(f_loads: [u32; 2]) -> Image {
+    let [x, y] = f_loads;
+    assemble(&format!(
+        "        .org 0x1000
+main:
+    li   r2, 0x20000000
+    lw   r3, 0(r2)
+    call f
+    li   r2, 0x20000000
+    li   r10, 10
+loop:
+    lw   r3, 0(r2)
+    subi r10, r10, 1
+    bne  r10, r0, loop
+    halt
+f:
+    li   r5, {x:#x}
+    lw   r6, 0(r5)
+    li   r5, {y:#x}
+    lw   r6, 0(r5)
+    ret
+"
+    ))
+    .expect("assembles")
+}
+
+/// A warm bound must follow the callee footprints its caller was priced
+/// with. In program A, `f` loads two lines of the 2-way dcache set that
+/// holds `main`'s word, evicting it; in program B, two lines of the next
+/// set. `main` has the same function key, entry state, and site costs in
+/// both — only the footprint differs. Analyzing A, then B, then A again
+/// against one cache directory must reproduce A's cold bound on the
+/// third run (an IPET cache keyed without the footprint served B's),
+/// with the observed execution inside the envelope.
+#[test]
+fn warm_bounds_follow_callee_footprints() {
+    let a = footprint_program([0x2000_0080, 0x2000_0100]);
+    let b = footprint_program([0x2000_0090, 0x2000_0110]);
+    let config = AnalyzerConfig {
+        machine: MachineConfig::with_caches(),
+        context_depth: 1,
+        persistence: true,
+        ..AnalyzerConfig::new()
+    };
+    let analyzer = WcetAnalyzer::with_config(config.clone());
+    let cold_a = analyzer.analyze(&a).unwrap();
+    let cold_b = analyzer.analyze(&b).unwrap();
+    assert!(
+        cold_b.wcet_cycles < cold_a.wcet_cycles,
+        "the footprint must matter: A {} vs B {}",
+        cold_a.wcet_cycles,
+        cold_b.wcet_cycles
+    );
+
+    let tmp = TempCache::new("footprint-aba");
+    for image in [&a, &b] {
+        analyzer
+            .analyze_incremental(image, &mut tmp.open())
+            .unwrap();
+    }
+    let again = analyzer.analyze_incremental(&a, &mut tmp.open()).unwrap();
+    let observed = Interpreter::with_config(&a, config.machine.clone())
+        .run(100_000)
+        .unwrap()
+        .cycles;
+    assert!(
+        again.bcet_cycles <= observed && observed <= again.wcet_cycles,
+        "observed {observed} !in [{}, {}]",
+        again.bcet_cycles,
+        again.wcet_cycles
+    );
+    assert_eq!(canonical(again), canonical(cold_a), "A after B");
 }
 
 /// Turning persistence on and off against one shared cache directory

@@ -465,7 +465,7 @@ fn racing_batch_processes_share_one_cache_without_corruption() {
         );
     }
     assert!(!stale_tmp.exists(), "stale tmp swept on cache open");
-    for kind in ["fn", "fp", "ipet"] {
+    for kind in ["fn", "ipet", "unit"] {
         for entry in std::fs::read_dir(cache.join(kind)).expect("cache subdir") {
             let name = entry.expect("entry").file_name();
             assert!(
