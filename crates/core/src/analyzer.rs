@@ -1,13 +1,15 @@
 //! The complete aiT-style analyzer (Figure 1 end to end).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wcet_analysis::loopbound::{BoundResult, BoundSource, LoopBounds};
+use wcet_analysis::loopbound::{BoundResult, BoundSource};
 use wcet_analysis::state::AbstractState;
-use wcet_analysis::valueanalysis::AnalysisConfig;
-use wcet_analysis::{analyze_function, FunctionAnalysis};
+use wcet_analysis::valueanalysis::{self, AnalysisConfig};
+use wcet_analysis::FunctionAnalysis;
 use wcet_cfg::block::Terminator;
 use wcet_cfg::callgraph::{CallGraph, ContextTable, CtxId};
 use wcet_cfg::dom::Dominators;
@@ -20,16 +22,15 @@ use wcet_guidelines::rules::{check_function, check_image_level, sort_findings, F
 use wcet_isa::hash::StableHasher;
 use wcet_isa::interp::MachineConfig;
 use wcet_isa::{Addr, Image, IsaKind};
-use wcet_micro::blocktime::BlockTimes;
+use wcet_micro::blocktime::{AccessOverrides, BlockTimes};
 use wcet_micro::cacheanalysis::{CacheAnalysis, CacheCtx, CacheStates};
 use wcet_micro::footprint::{self, CacheFootprint};
 use wcet_micro::pipeline::{self, BranchPenalties, PipelineStates};
 use wcet_path::ipet::{self, CallCosts, LpStats, PathError, WcetResult};
 
 use crate::incr::{
-    ipet_ctx_struct_key, ipet_full_key, ipet_site_full_key, ipet_struct_key, unit_key,
-    ArtifactCache, FootprintArtifact, FunctionArtifact, IncrStats, IpetEntry, KeyContext,
-    UnitArtifact,
+    ipet_ctx_struct_key, ipet_site_full_key, unit_key, ArtifactCache, FootprintArtifact,
+    FunctionArtifact, IncrStats, IpetEntry, KeyContext, UnitArtifact,
 };
 use crate::parallel::{self, WorkerPool};
 use crate::phases::PhaseTrace;
@@ -59,11 +60,14 @@ pub struct AnalyzerConfig {
     /// results merge in function-address order.
     pub parallelism: Option<usize>,
     /// Call-string context depth `k` for VIVU-style context expansion
-    /// (reference \[13\]): `0` (the default) analyzes one merged unit per
-    /// function — exactly the classic pipeline — while `k ≥ 1` analyzes
-    /// one *(function, call-string)* unit per distinct suffix of up to
-    /// `k` call sites, propagating the caller's register intervals and
-    /// abstract cache state into each callee context instead of ⊤.
+    /// (reference \[13\]). Every depth runs the same unit pipeline; the
+    /// depth only decides the units. `0` (the default) analyzes one
+    /// merged unit per function, entered at the ⊤ image state with an
+    /// unknown cache and pipe (the task entry alone starts cold and
+    /// drained) — the classic pipeline. `k ≥ 1` analyzes one
+    /// *(function, call-string)* unit per distinct suffix of up to `k`
+    /// call sites, propagating the caller's register intervals, abstract
+    /// cache state, and pipe into each callee context instead of ⊤.
     /// Recursive SCCs are always truncated to one merged context.
     pub context_depth: usize,
     /// Per-context cache **persistence analysis** (first-miss
@@ -71,10 +75,9 @@ pub struct AnalyzerConfig {
     /// caller's abstract cache by what the callee can actually touch
     /// instead of clobbering it, and accesses whose line provably never
     /// ages out are charged one miss per activation instead of one per
-    /// iteration. Takes effect in the context-sensitive pipeline
-    /// (`context_depth ≥ 1`) on machines with caches; the depth-0
-    /// pipeline ignores it (its reports must stay byte-identical to the
-    /// classic analyzer). Off by default.
+    /// iteration. Takes effect at every context depth on machines with
+    /// caches (without one there is nothing to classify). Off by
+    /// default, so the default reports keep the classic classifications.
     pub persistence: bool,
     /// Abstract in-order **pipeline timing** with static BTFNT branch
     /// prediction: block costs become retirement deltas computed from an
@@ -303,11 +306,11 @@ impl WcetAnalyzer {
     ///
     /// Functions whose content key (bytes, resolved control flow, image
     /// data, callee summaries, configuration) matches a cached artifact
-    /// skip value analysis, block timing, guideline checking, and — when
-    /// their callees' bounds are unchanged — the IPET solve; everything
-    /// is replayed from the cache. Changed functions and their transitive
-    /// callers (the [`CallGraph::transitive_callers`] closure) recompute,
-    /// and their artifacts are stored for the next run. The report is
+    /// skip value analysis and guideline checking; *(function, context)*
+    /// units whose key (function key, entry states, callee footprints)
+    /// matches skip cache/pipeline analysis too, and — when the per-site
+    /// callee costs are unchanged — the IPET solve. Everything else
+    /// recomputes and is stored for the next run. The report is
     /// **byte-identical** to [`Self::analyze`] on the same image and
     /// configuration, at any thread count; [`AnalysisReport::incr`]
     /// carries the hit statistics.
@@ -323,21 +326,9 @@ impl WcetAnalyzer {
         self.analyze_impl(image, Some(cache))
     }
 
-    /// The pipeline-state entry digest a depth-0 function artifact must
-    /// carry under this configuration: the digest of the abstract entry
-    /// pipe its block times were derived against (the drained pipe for
-    /// the task entry, the unknown pipe for callees), or `None` with the
-    /// pipeline model off.
-    fn pipeline_entry_digest(&self, is_entry: bool) -> Option<u64> {
-        self.config.pipeline.then(|| {
-            if is_entry {
-                PipelineStates::drained().digest()
-            } else {
-                PipelineStates::unknown(&self.config.machine).digest()
-            }
-        })
-    }
-
+    /// The front end — decoding, reconstruction with value-analysis-driven
+    /// resolution rounds, front matter, guideline findings — followed by
+    /// the unit pipeline of [`Self::analyze_contexts`] at every depth.
     fn analyze_impl(
         &self,
         image: &Image,
@@ -353,7 +344,6 @@ impl WcetAnalyzer {
             }
         };
         let key_ctx = cache.as_ref().map(|_| KeyContext::new(image, &self.config));
-        let mut stats = IncrStats::default();
 
         // --- Phase 1: decoding --------------------------------------
         let t0 = Instant::now();
@@ -368,25 +358,30 @@ impl WcetAnalyzer {
         let mut program = reconstruct(image, &resolver)?;
         trace.unresolved_initial = program.unresolved_sites().len();
         let mut phases_map: BTreeMap<Addr, FnPhase> = BTreeMap::new();
-        let t2_accum = Instant::now();
-        let mut value_time = t2_accum.elapsed();
+        let mut summaries: Arc<Summaries> = Arc::default();
+        let mut value_time = Duration::ZERO;
         let mut value_work = Duration::ZERO;
+        // The load-time state every function's merged analysis enters at:
+        // ⊤ registers over the image's initialized data.
+        let tv = Instant::now();
+        let base_entry = valueanalysis::entry_state_from_image(image);
+        value_time += tv.elapsed();
         let max_rounds = self.config.max_resolve_rounds.max(1);
         for round in 0..max_rounds {
             // Phase 3 runs inside the loop: value analysis may resolve
             // indirect targets, requiring re-reconstruction. Functions
             // are analyzed independently, so every round fans out flat —
             // after cached functions are peeled off on the coordinator.
+            // The whole-program input (callee write summaries, read by
+            // the value analysis and the function keys) is built once
+            // per round.
             let tv = Instant::now();
+            summaries = Arc::new(valueanalysis::compute_summaries(&program));
             let funcs: Vec<Addr> = program.functions.keys().copied().collect();
             let mut keys: BTreeMap<Addr, u64> = BTreeMap::new();
             let mut cold: Vec<Addr> = Vec::new();
             phases_map = BTreeMap::new();
-            if let Some(ctx) = &key_ctx {
-                let summaries = wcet_analysis::valueanalysis::compute_summaries(&program);
-                let store = cache
-                    .as_deref_mut()
-                    .expect("cache present with key context");
+            if let (Some(ctx), Some(store)) = (&key_ctx, cache.as_deref_mut()) {
                 for &f in &funcs {
                     let cfg = program.cfg(f).expect("reconstructed");
                     let key = ctx.function_key(cfg, &summaries);
@@ -401,8 +396,15 @@ impl WcetAnalyzer {
             } else {
                 cold.clone_from(&funcs);
             }
-            let (results, work) =
-                pool.map_in_order(&cold, |&f| analyze_function(&program, f, image));
+            let (results, work) = pool.map_in_order(&cold, |&f| {
+                valueanalysis::analyze_cfg(
+                    program.cfg(f).expect("reconstructed").clone(),
+                    f,
+                    base_entry.clone(),
+                    AnalysisConfig::default(),
+                    summaries.clone(),
+                )
+            });
             for (&f, fa) in cold.iter().zip(results) {
                 phases_map.insert(
                     f,
@@ -453,75 +455,9 @@ impl WcetAnalyzer {
         trace.phase_times[2] = value_time;
         trace.phase_work_times[2] = value_work;
 
-        // --- Warm-unit preparation and validation ---------------------
-        // Every cached artifact is validated against the re-derived
-        // CFG/forest (the peeled pair, under unrolling) *before* anything
-        // downstream reads it. A failure — a corrupted artifact that
-        // still decoded, or a peel decision that no longer reproduces —
-        // downgrades the function to a fresh analysis here, so the front
-        // matter, guideline report, and trace never see stale data, and
-        // the recomputed artifact later overwrites the bad file.
-        //
-        // The context-sensitive pipeline (`context_depth ≥ 1`) replays
-        // only the front matter (and own footprints) from function
-        // artifacts — bounds and block times are per *(function,
-        // context)* and replay from unit artifacts there — so the
-        // structural replay below is skipped.
-        let mut warm_prepared: BTreeMap<Addr, (Unit, BlockTimes)> = BTreeMap::new();
-        let mut warm_analyzed_cfgs: BTreeMap<Addr, Cfg> = BTreeMap::new();
-        let mut downgrade: Vec<Addr> = Vec::new();
-        for (&f, phase) in &phases_map {
-            if self.config.context_depth > 0 {
-                break;
-            }
-            let FnPhase::Warm { key, artifact } = phase else {
-                continue;
-            };
-            // The artifact's block times were derived against a specific
-            // abstract entry pipe (drained for the task entry, unknown
-            // for callees); replay only when the recorded digest matches
-            // what this run would use. The config fingerprint already
-            // forks the key space on the flag itself, but the digest also
-            // covers the entry/callee asymmetry the function key cannot
-            // see.
-            if artifact.pipeline_digest != self.pipeline_entry_digest(f == program.entry) {
-                downgrade.push(f);
-                continue;
-            }
-            let orig = program.cfg(f).expect("reconstructed");
-            let analyzed = if self.config.unrolling && artifact.peeled {
-                let dom = Dominators::compute(orig);
-                let forest = LoopForest::compute(orig, &dom);
-                // Pure, deterministic CFG surgery — no fixpoint re-run.
-                let (peeled, _skipped) = wcet_cfg::unroll::peel_all(orig, &forest);
-                warm_analyzed_cfgs.insert(f, peeled.clone());
-                peeled
-            } else {
-                orig.clone()
-            };
-            let dom = Dominators::compute(&analyzed);
-            let forest = LoopForest::compute(&analyzed, &dom);
-            match replay_unit(*key, artifact, analyzed, forest) {
-                Some(prepared) => {
-                    warm_prepared.insert(f, prepared);
-                }
-                None => downgrade.push(f),
-            }
-        }
-        for f in downgrade {
-            let key = match &phases_map[&f] {
-                FnPhase::Warm { key, .. } => *key,
-                _ => unreachable!("downgrades come from warm phases"),
-            };
-            warm_analyzed_cfgs.remove(&f);
-            let fa = analyze_function(&program, f, image);
-            phases_map.insert(f, FnPhase::Fresh { key: Some(key), fa });
-        }
-
         // --- Front matter: hints, findings, loop statistics -----------
-        // Captured per function before virtual unrolling replaces fresh
-        // analyses with their peeled copies; cached functions replay it
-        // from their artifacts.
+        // Captured per function over the un-peeled CFG; cached functions
+        // replay it from their artifacts.
         let mut front: BTreeMap<Addr, FrontMatter> = BTreeMap::new();
         for (&f, phase) in &phases_map {
             let fm = match phase {
@@ -607,651 +543,70 @@ impl WcetAnalyzer {
             });
         }
 
-        // --- Context-sensitive pipeline (depth ≥ 1) --------------------
-        // From here the two pipelines diverge: the classic path below
-        // schedules one merged unit per function; the VIVU path schedules
-        // one unit per (function, call-string context), propagating entry
-        // states caller → callee. Depth 0 must stay byte-identical to the
-        // pre-context analyzer, so its code path is untouched.
-        if self.config.context_depth > 0 {
-            return self.analyze_contexts(CtxPipeline {
-                image,
-                program,
-                callgraph,
-                phases_map,
-                front,
-                guideline_report,
-                trace,
-                cache,
-                key_ctx,
-                stats,
-                pool,
-            });
-        }
-
-        // --- Virtual unrolling (optional context expansion) -------------
-        // Guideline checking above used the un-peeled CFGs (peeled copies
-        // would double-report findings); timing and path analysis can use
-        // the expanded CFGs for per-context cache precision.
-        let mut analyzed_cfgs: BTreeMap<Addr, wcet_cfg::Cfg> = BTreeMap::new();
-        let mut peeled_flags: BTreeMap<Addr, bool> = BTreeMap::new();
-        if self.config.unrolling {
-            let t_unroll = Instant::now();
-            let summaries =
-                std::sync::Arc::new(wcet_analysis::valueanalysis::compute_summaries(&program));
-            let entry_state = wcet_analysis::valueanalysis::entry_state_from_image(image);
-            let fresh_fns: Vec<Addr> = phases_map
-                .iter()
-                .filter(|(_, p)| matches!(p, FnPhase::Fresh { .. }))
-                .map(|(&f, _)| f)
-                .collect();
-            // Peel-and-reanalyze is per-function independent: fan out flat.
-            let (peeled, unroll_work) = pool.map_in_order(&fresh_fns, |&f| {
-                let FnPhase::Fresh { fa, .. } = &phases_map[&f] else {
-                    unreachable!("fresh_fns holds fresh phases only")
-                };
-                let (peeled, _skipped) = wcet_cfg::unroll::peel_all(fa.cfg(), fa.forest());
-                if peeled.block_count() != fa.cfg().block_count() {
-                    Some(wcet_analysis::valueanalysis::analyze_cfg(
-                        peeled,
-                        f,
-                        entry_state.clone(),
-                        wcet_analysis::valueanalysis::AnalysisConfig::default(),
-                        summaries.clone(),
-                    ))
-                } else {
-                    None
-                }
-            });
-            for (f, fa2) in fresh_fns.into_iter().zip(peeled) {
-                if let Some(fa2) = fa2 {
-                    analyzed_cfgs.insert(f, fa2.cfg().clone());
-                    peeled_flags.insert(f, true);
-                    let key = match phases_map.get(&f) {
-                        Some(FnPhase::Fresh { key, .. }) => *key,
-                        _ => None,
-                    };
-                    phases_map.insert(f, FnPhase::Fresh { key, fa: fa2 });
-                }
-            }
-            // Cached functions whose artifacts recorded a peel: the
-            // validated peeled CFGs were derived above.
-            for (&f, peeled) in &warm_analyzed_cfgs {
-                analyzed_cfgs.insert(f, peeled.clone());
-                peeled_flags.insert(f, true);
-            }
-            // Context expansion re-runs the value analysis, so its cost
-            // belongs to the loop/value phase.
-            trace.phase_times[2] += t_unroll.elapsed();
-            trace.phase_work_times[2] += unroll_work;
-        }
-
-        // --- Phase 4: units + cache/pipeline analysis ------------------
-        // Each function becomes a self-contained unit: the analyzed CFG
-        // and forest, automatic loop bounds, and block times — fresh from
-        // the analysis, or replayed from the validated artifact.
-        let t3 = Instant::now();
-        let overrides = self.config.annotations.access_overrides();
-        let mut units: BTreeMap<Addr, Unit> = BTreeMap::new();
-        let mut warm_times: BTreeMap<Addr, BlockTimes> = BTreeMap::new();
-        let mut artifacts: BTreeMap<Addr, FunctionArtifact> = BTreeMap::new();
-        for (f, (unit, times_f)) in warm_prepared {
-            if let Some(FnPhase::Warm { artifact, .. }) = phases_map.get(&f) {
-                artifacts.insert(f, artifact.clone());
-            }
-            warm_times.insert(f, times_f);
-            units.insert(f, unit);
-        }
-        let fresh_fns: Vec<Addr> = phases_map
-            .iter()
-            .filter(|(&f, _)| !units.contains_key(&f))
-            .map(|(&f, _)| f)
-            .collect();
-        let mut fresh_fas: BTreeMap<Addr, (Option<u64>, FunctionAnalysis)> = BTreeMap::new();
-        for &f in &fresh_fns {
-            let Some(FnPhase::Fresh { key, fa }) = phases_map.remove(&f) else {
-                unreachable!("warm phases were validated (or downgraded) above")
-            };
-            fresh_fas.insert(f, (key, fa));
-        }
-        let items: Vec<(&Addr, &(Option<u64>, FunctionAnalysis))> = fresh_fas.iter().collect();
-        let (timed, cache_work) = pool.map_in_order(&items, |&(&f, entry)| {
-            let fa = &entry.1;
-            let machine = &self.config.machine;
-            // The flat pipeline does not track caller cache states, so a
-            // callee's fixpoint must start from the *unknown* ACS: the
-            // cold default proves absence for every line and classifies
-            // entry fetches always-miss, inflating the BCET whenever the
-            // caller's own fetches already warmed a shared line. Only the
-            // task entry genuinely starts on the cold machine.
-            let is_entry = f == program.entry;
-            let icache = machine.icache.as_ref().map(|cc| {
-                let unknown = (!is_entry).then(|| CacheStates::unknown(cc));
-                CacheAnalysis::instruction_with(
-                    fa.cfg(),
-                    cc,
-                    &machine.memmap,
-                    &CacheCtx {
-                        entry: unknown.as_ref(),
-                        ..CacheCtx::default()
-                    },
-                )
-                .analysis
-            });
-            let accesses = fa.access_values();
-            let dcache = machine.dcache.as_ref().map(|cc| {
-                let unknown = (!is_entry).then(|| CacheStates::unknown(cc));
-                CacheAnalysis::data_with(
-                    fa.cfg(),
-                    cc,
-                    &machine.memmap,
-                    &accesses,
-                    &CacheCtx {
-                        entry: unknown.as_ref(),
-                        ..CacheCtx::default()
-                    },
-                )
-                .analysis
-            });
-            let block_times = if self.config.pipeline {
-                // The abstract pipe mirrors the ACS rule: only the task
-                // entry genuinely starts drained; callees may inherit
-                // any pipe occupancy from their callers.
-                let entry_pipe = (!is_entry).then(|| PipelineStates::unknown(machine));
-                pipeline::analyze(
-                    fa,
-                    machine,
-                    &overrides,
-                    icache.as_ref(),
-                    dcache.as_ref(),
-                    entry_pipe.as_ref(),
-                )
-                .times
-            } else {
-                BlockTimes::compute_from_parts(
-                    fa,
-                    machine,
-                    &overrides,
-                    icache.as_ref(),
-                    dcache.as_ref(),
-                )
-            };
-            let cache_summary = icache.as_ref().map(CacheAnalysis::summary);
-            (block_times, cache_summary)
-        });
-        let mut times: BTreeMap<Addr, BlockTimes> = warm_times;
-        let mut fresh_summaries: BTreeMap<Addr, Option<(usize, usize, usize)>> = BTreeMap::new();
-        for ((&f, _), (block_times, cache_summary)) in items.iter().zip(timed) {
-            times.insert(f, block_times);
-            fresh_summaries.insert(f, cache_summary);
-        }
-        for (f, (key, fa)) in fresh_fas {
-            let bounds = fa.loop_bounds();
-            units.insert(
-                f,
-                Unit {
-                    key,
-                    warm: false,
-                    bounds,
-                    body: UnitBody::Fresh(fa),
-                },
-            );
-        }
-        // The cache-classification counters accumulate over all
-        // functions, in address order (the sum is order-independent, but
-        // stay deterministic anyway).
-        for (&f, unit) in &units {
-            let summary = if unit.warm {
-                artifacts[&f].cache_summary
-            } else {
-                fresh_summaries.get(&f).copied().flatten()
-            };
-            if let Some((h, m, nc)) = summary {
-                trace.cache_always_hit += h;
-                trace.cache_always_miss += m;
-                trace.cache_not_classified += nc;
-            }
-        }
-        if self.config.pipeline {
-            // Structural, so warm and cold runs count identically.
-            for unit in units.values() {
-                trace.pipeline_edges += pipeline::predicted_edge_count(unit.cfg());
-            }
-        }
-        trace.phase_times[3] = t3.elapsed();
-        trace.phase_work_times[3] = cache_work;
-
-        // --- Dirtiness propagation ------------------------------------
-        // Changed functions (content-key misses) plus their transitive
-        // callers: exactly the set whose IPET solutions may differ from
-        // the cache. Clean functions are guaranteed full-key hits below —
-        // the property tests pin that invariant.
-        let dirty: BTreeSet<Addr> = if key_ctx.is_some() {
-            let changed: BTreeSet<Addr> = units
-                .iter()
-                .filter(|(_, u)| !u.warm)
-                .map(|(&f, _)| f)
-                .collect();
-            let dirty = callgraph.transitive_callers(&changed);
-            stats.functions = units.len();
-            stats.fn_hits = units.len() - changed.len();
-            stats.fn_misses = changed.len();
-            stats.dirty = dirty.len();
-            dirty
-        } else {
-            BTreeSet::new()
-        };
-
-        // --- Phase 5: path analysis as a bottom-up wavefront -----------
-        // The call graph is leveled into groups whose callees all lie in
-        // earlier levels; groups within one level share no call edges and
-        // solve their IPET systems concurrently. Results merge in
-        // function-address order, so the report is identical for any
-        // worker count. With a cache, the coordinator first serves
-        // `(function, mode, callee costs)`-keyed solutions; only the rest
-        // fan out to the solvers.
-        let t4 = Instant::now();
-        let mut path_work = Duration::ZERO;
-        let mut mode_wcet: BTreeMap<Option<String>, u64> = BTreeMap::new();
-        let mut global_functions: BTreeMap<Addr, FunctionReport> = BTreeMap::new();
-
-        let mut modes: Vec<Option<String>> = vec![None];
-        modes.extend(
-            self.config
-                .annotations
-                .modes()
-                .iter()
-                .map(|m| Some(m.clone())),
-        );
-
-        let levels = callgraph.bottom_up_levels();
-        for mode in &modes {
-            let mut wcet_costs = CallCosts::new();
-            let mut bcet_costs = CallCosts::new();
-            let mut per_function: BTreeMap<Addr, FunctionReport> = BTreeMap::new();
-            for level in &levels {
-                // Coordinator pass: serve cached IPET solutions, decide
-                // what still needs solving, and remember where to store
-                // fresh solutions.
-                let mut served: Vec<Option<GroupOutcome>> = Vec::new();
-                served.resize_with(level.len(), || None);
-                let mut to_solve: Vec<usize> = Vec::new();
-                let mut store_keys: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
-                for (gi, group) in level.iter().enumerate() {
-                    let cacheable = group.len() == 1
-                        && !callgraph.is_recursive(group[0])
-                        && units[&group[0]].key.is_some();
-                    if !cacheable {
-                        to_solve.push(gi);
-                        continue;
-                    }
-                    let f = group[0];
-                    let unit = &units[&f];
-                    let fn_key = unit.key.expect("checked cacheable");
-                    let skey = ipet_struct_key(fn_key, mode.as_deref());
-                    let costs = callee_costs(unit.cfg(), &wcet_costs, &bcet_costs);
-                    match costs {
-                        Some(costs) => {
-                            let fkey = ipet_full_key(skey, &costs);
-                            // The dirtiness pass is the invalidation rule:
-                            // changed functions and their transitive
-                            // callers never consult the cache — they
-                            // re-solve and overwrite their entry. Clean
-                            // functions must hit (their whole input cone
-                            // is unchanged).
-                            if !dirty.contains(&f) {
-                                let store = cache.as_deref_mut().expect("cache active");
-                                let hit = store
-                                    .lookup_ipet(skey)
-                                    .filter(|e| e.full_key == fkey && entry_fits(e, unit.cfg()));
-                                if let Some(entry) = hit {
-                                    stats.ipet_hits += 1;
-                                    let annotation_bounds = if mode.is_none() {
-                                        self.annotation_bound_count(unit, mode.as_deref())
-                                    } else {
-                                        0
-                                    };
-                                    served[gi] = Some(GroupOutcome {
-                                        reports: vec![(
-                                            f,
-                                            FunctionReport {
-                                                wcet: entry.wcet,
-                                                bcet: entry.bcet,
-                                            },
-                                        )],
-                                        annotation_bounds,
-                                        lp: entry.lp,
-                                    });
-                                    continue;
-                                }
-                            }
-                            store_keys.insert(gi, (skey, fkey));
-                            to_solve.push(gi);
-                        }
-                        None => to_solve.push(gi), // a callee bound is missing: solve (and error there)
-                    }
-                }
-                let (outcomes, work) = pool.map_in_order(&to_solve, |&gi| {
-                    self.analyze_call_group(
-                        &level[gi],
-                        mode.as_deref(),
-                        &units,
-                        &times,
-                        &callgraph,
-                        &wcet_costs,
-                        &bcet_costs,
-                    )
-                });
-                path_work += work;
-                stats.ipet_solves += to_solve.len();
-                for (&gi, outcome) in to_solve.iter().zip(outcomes) {
-                    let outcome = outcome?;
-                    if let (Some(store), Some(&(skey, fkey))) =
-                        (cache.as_deref_mut(), store_keys.get(&gi))
-                    {
-                        let (f, report) = &outcome.reports[0];
-                        debug_assert_eq!(*f, level[gi][0]);
-                        store.store_ipet(
-                            skey,
-                            &IpetEntry {
-                                full_key: fkey,
-                                wcet: report.wcet.clone(),
-                                bcet: report.bcet.clone(),
-                                lp: outcome.lp,
-                            },
-                        );
-                    }
-                    served[gi] = Some(outcome);
-                }
-                for outcome in served.into_iter() {
-                    let outcome = outcome.expect("every group served or solved");
-                    if mode.is_none() {
-                        trace.loops_bounded_annot += outcome.annotation_bounds;
-                    }
-                    trace.lp_pivots += outcome.lp.pivots;
-                    trace.lp_refactorizations += outcome.lp.refactorizations;
-                    trace.lp_presolve_removed += outcome.lp.presolve_removed;
-                    for (f, report) in outcome.reports {
-                        wcet_costs.insert(f, report.wcet.wcet_cycles);
-                        bcet_costs.insert(f, report.bcet.wcet_cycles);
-                        per_function.insert(f, report);
-                    }
-                }
-            }
-            let entry_report = &per_function[&program.entry];
-            mode_wcet.insert(mode.clone(), entry_report.wcet.wcet_cycles);
-            if mode.is_none() {
-                global_functions = per_function;
-            }
-        }
-        trace.phase_times[4] = t4.elapsed();
-        trace.phase_work_times[4] = path_work;
-
-        // --- Store fresh artifacts ------------------------------------
-        if let (Some(ctx), Some(store)) = (&key_ctx, cache) {
-            // Only the rare repair path (fresh unit without a key, i.e. a
-            // corrupted artifact) needs the summaries again.
-            let mut summaries = None;
-            for (&f, unit) in &units {
-                if unit.warm {
-                    continue;
-                }
-                // Key over the *reconstructed* CFG (what the next run will
-                // hash during its rounds), not the peeled copy.
-                let key = unit.key.unwrap_or_else(|| {
-                    let summaries = summaries.get_or_insert_with(|| {
-                        wcet_analysis::valueanalysis::compute_summaries(&program)
-                    });
-                    ctx.function_key(program.cfg(f).expect("reconstructed"), summaries)
-                });
-                let fm = &front[&f];
-                let times_f = &times[&f];
-                let n = unit.cfg().block_count();
-                let artifact = FunctionArtifact {
-                    hint_calls: fm.hint_calls.clone(),
-                    hint_jumps: fm.hint_jumps.clone(),
-                    findings: fm.findings.clone(),
-                    loops_total: fm.loops_total,
-                    loops_auto: fm.loops_auto,
-                    peeled: peeled_flags.get(&f).copied().unwrap_or(false),
-                    bounds: unit
-                        .bounds
-                        .results()
-                        .iter()
-                        .map(|(id, r)| (id.0, *r))
-                        .collect(),
-                    times_wcet: (0..n).map(|b| times_f.wcet(wcet_cfg::BlockId(b))).collect(),
-                    times_bcet: (0..n).map(|b| times_f.bcet(wcet_cfg::BlockId(b))).collect(),
-                    cache_summary: fresh_summaries.get(&f).copied().flatten(),
-                    pipeline_digest: self.pipeline_entry_digest(f == program.entry),
-                    footprints: None,
-                };
-                store.store_fn(key, &artifact);
-            }
-        }
-
-        // ILP size statistics for the entry function (recomputed cheaply,
-        // over the CFG the ILP was actually built from).
-        let entry_cfg = units[&program.entry].cfg();
-        trace.ilp_vars = entry_cfg.edges().len() + entry_cfg.block_count() + 1;
-        trace.ilp_constraints = entry_cfg.block_count() * 2;
-
-        let entry_report = &global_functions[&program.entry];
-        Ok(AnalysisReport {
-            wcet_cycles: entry_report.wcet.wcet_cycles,
-            bcet_cycles: entry_report.bcet.wcet_cycles,
-            worst_path: entry_report.wcet.worst_path.clone(),
-            analyzed_cfgs,
-            functions: global_functions,
-            mode_wcet,
-            guidelines: guideline_report,
-            trace,
+        self.analyze_contexts(CtxPipeline {
             program,
-            incr: key_ctx.map(|_| stats),
-        })
-    }
-
-    /// Replays the deterministic annotation pass to count
-    /// annotation-sourced bounds for a cache-served function (the trace
-    /// statistic the solver path counts inline).
-    fn annotation_bound_count(&self, unit: &Unit, mode: Option<&str>) -> usize {
-        let mut bounds = unit.bounds.clone();
-        self.config
-            .annotations
-            .apply_loop_bounds(unit.cfg(), unit.forest(), &mut bounds, mode);
-        bounds
-            .results()
-            .iter()
-            .filter(|(_, r)| {
-                matches!(
-                    r,
-                    BoundResult::Bounded {
-                        source: BoundSource::Annotation,
-                        ..
-                    }
-                )
-            })
-            .count()
-    }
-
-    /// Path-analyzes one wavefront group for `mode`: a single function,
-    /// or a recursive SCC processed as a unit (its members need each
-    /// other's per-activation body costs). Callee costs from every
-    /// earlier level are complete in `wcet_costs`/`bcet_costs`; same-level
-    /// groups share no call edges, so nothing else is needed.
-    #[allow(clippy::too_many_arguments)] // phase state, plumbed not stored
-    fn analyze_call_group(
-        &self,
-        group: &[Addr],
-        mode: Option<&str>,
-        units: &BTreeMap<Addr, Unit>,
-        times: &BTreeMap<Addr, BlockTimes>,
-        callgraph: &CallGraph,
-        wcet_costs: &CallCosts,
-        bcet_costs: &CallCosts,
-    ) -> Result<GroupOutcome, AnalyzeError> {
-        let mut reports: Vec<(Addr, FunctionReport)> = Vec::with_capacity(group.len());
-        let mut annotation_bounds = 0usize;
-        let mut lp = LpStats::default();
-        for &f in group {
-            let unit = &units[&f];
-            let (cfg, forest) = (unit.cfg(), unit.forest());
-            let mut bounds = unit.bounds.clone();
-            self.config
-                .annotations
-                .apply_loop_bounds(cfg, forest, &mut bounds, mode);
-            if mode.is_none() {
-                for (_, r) in bounds.results() {
-                    if matches!(
-                        r,
-                        BoundResult::Bounded {
-                            source: BoundSource::Annotation,
-                            ..
-                        }
-                    ) {
-                        annotation_bounds += 1;
-                    }
-                }
-            }
-            let facts = self.config.annotations.flow_facts(cfg, mode);
-            let ft = &times[&f];
-            // Static branch-prediction penalties per CFG edge — a pure
-            // function of the CFG and the timing model, so cached IPET
-            // solutions stay valid (the config fingerprint forks the key
-            // space on the pipeline flag).
-            let penalties = if self.config.pipeline {
-                pipeline::branch_penalties(cfg, &self.config.machine.timing)
-            } else {
-                BranchPenalties::default()
-            };
-
-            // Recursive cycles: compute per-activation body costs with
-            // the cycle's internal calls priced at zero, then scale by
-            // the annotated depth. Each activation runs at most once
-            // per depth level, so depth × Σ(body costs over the cycle)
-            // bounds the whole recursion. Only this path needs (and
-            // mutates) private cost maps — non-recursive groups are
-            // always singletons whose callees sit in earlier levels, so
-            // they borrow the level-shared maps clone-free.
-            let recursive = callgraph.is_recursive(f);
-            let (wcet, bcet) = if recursive {
-                let (mut w_costs, mut b_costs) = (wcet_costs.clone(), bcet_costs.clone());
-                for member in callgraph.scc_members(f) {
-                    w_costs.insert(member, 0);
-                    b_costs.insert(member, 0);
-                }
-                (
-                    ipet::wcet_full(
-                        cfg,
-                        forest,
-                        ft,
-                        &bounds,
-                        &facts,
-                        &w_costs,
-                        &penalties.wcet,
-                        &mut lp,
-                    )
-                    .map_err(|error| AnalyzeError::Path { function: f, error })?,
-                    ipet::bcet_full(
-                        cfg,
-                        forest,
-                        ft,
-                        &bounds,
-                        &facts,
-                        &b_costs,
-                        &penalties.bcet,
-                        &mut lp,
-                    )
-                    .map_err(|error| AnalyzeError::Path { function: f, error })?,
-                )
-            } else {
-                (
-                    ipet::wcet_full(
-                        cfg,
-                        forest,
-                        ft,
-                        &bounds,
-                        &facts,
-                        wcet_costs,
-                        &penalties.wcet,
-                        &mut lp,
-                    )
-                    .map_err(|error| AnalyzeError::Path { function: f, error })?,
-                    ipet::bcet_full(
-                        cfg,
-                        forest,
-                        ft,
-                        &bounds,
-                        &facts,
-                        bcet_costs,
-                        &penalties.bcet,
-                        &mut lp,
-                    )
-                    .map_err(|error| AnalyzeError::Path { function: f, error })?,
-                )
-            };
-            reports.push((f, FunctionReport { wcet, bcet }));
-        }
-        // Scale recursive members by depth × Σ(per-activation body costs
-        // over the cycle), from a snapshot of the *raw* per-activation
-        // costs. Scaling used to happen inside the member loop, which
-        // read already-scaled siblings (compounding the factor, order-
-        // dependently) and substituted a member's own cost for siblings
-        // not yet solved (undercutting the first member's bound in
-        // asymmetric cycles) — both wrong; the group holds the whole SCC,
-        // so every member's raw cost is available here.
-        let raw: BTreeMap<Addr, u64> = reports
-            .iter()
-            .map(|(f, r)| (*f, r.wcet.wcet_cycles))
-            .collect();
-        for (f, report) in &mut reports {
-            if !callgraph.is_recursive(*f) {
-                continue;
-            }
-            let depth = self
-                .config
-                .annotations
-                .recursion_depth(*f)
-                .expect("checked above");
-            let body_sum: u64 = callgraph.scc_members(*f).iter().map(|m| raw[m]).sum();
-            report.wcet.wcet_cycles = depth.saturating_mul(body_sum);
-            // One activation is the sound lower bound.
-        }
-        Ok(GroupOutcome {
-            reports,
-            annotation_bounds,
-            lp,
+            callgraph,
+            phases_map,
+            summaries,
+            base_entry,
+            front,
+            guideline_report,
+            trace,
+            cache,
+            key_ctx,
+            pool,
         })
     }
 }
 
 // ---------------------------------------------------------------------
-// The context-sensitive (VIVU) pipeline: one unit per (function, ctx)
+// The unit pipeline: one unit per (function, context)
 // ---------------------------------------------------------------------
 
-/// Everything the shared front end hands to the context-sensitive back
-/// end: the reconstructed program with its per-function phases, the
-/// report sections that are context-oblivious (front matter, guideline
-/// findings), and the incremental-cache plumbing.
+/// The callee may-write summaries of one reconstruction round.
+type Summaries = std::collections::HashMap<Addr, valueanalysis::FunctionSummary>;
+
+/// Everything the front end hands to the unit back end: the
+/// reconstructed program with its per-function phases and the inputs
+/// they were analyzed under, the report sections that are
+/// context-oblivious (front matter, guideline findings), and the
+/// incremental-cache plumbing.
 struct CtxPipeline<'a, 'c> {
-    image: &'a Image,
     program: Program,
     callgraph: CallGraph,
     phases_map: BTreeMap<Addr, FnPhase>,
+    /// The final round's callee summaries, shared with every unit.
+    summaries: Arc<Summaries>,
+    /// The image's ⊤ entry state (see `entry_state_from_image`).
+    base_entry: AbstractState,
     front: BTreeMap<Addr, FrontMatter>,
     guideline_report: Option<PredictabilityReport>,
     trace: PhaseTrace,
     cache: Option<&'c mut ArtifactCache>,
     key_ctx: Option<KeyContext>,
-    stats: IncrStats,
     pool: &'a WorkerPool,
+}
+
+/// The run-wide inputs every unit analysis reads.
+struct UnitEnv<'a> {
+    program: &'a Program,
+    summaries: &'a Arc<Summaries>,
+    base_entry: &'a AbstractState,
+    overrides: &'a AccessOverrides,
+    /// Per-site callee footprints (persistence runs on a cached machine).
+    footprints: Option<&'a BTreeMap<Addr, SiteFootprints>>,
+    /// Whether units hand per-call-site states to their callees: at
+    /// depth 0 nothing propagates, so nothing reads them.
+    propagate: bool,
 }
 
 /// Coordinator-computed inputs of one *(function, context)* unit: the
 /// joined entry states from the producing call edges.
 struct CtxInput {
     id: CtxId,
-    entry_state: AbstractState,
+    /// The joined value state; `None` is the image's ⊤ entry state — no
+    /// producer state to join, which is every context at depth 0.
+    entry_state: Option<AbstractState>,
     icache_entry: Option<CacheStates>,
     dcache_entry: Option<CacheStates>,
     /// The abstract entry pipe (pipeline runs only): joined from the
@@ -1261,11 +616,15 @@ struct CtxInput {
 
 impl CtxInput {
     /// A stable digest of every entry state — the context component of
-    /// the [`unit_key`].
-    fn digest(&self) -> u64 {
+    /// the [`unit_key`]. `top_digest` is the digest of the ⊤ entry state.
+    fn digest(&self, top_digest: u64) -> u64 {
         let mut h = StableHasher::new();
         h.write_str("ctx-entry");
-        h.write_u64(self.entry_state.digest());
+        h.write_u64(
+            self.entry_state
+                .as_ref()
+                .map_or(top_digest, AbstractState::digest),
+        );
         for entry in [&self.icache_entry, &self.dcache_entry] {
             match entry {
                 Some(pair) => {
@@ -1290,13 +649,15 @@ impl CtxInput {
 /// CFG and loop forest plus everything the unit's value, cache, and
 /// pipeline analyses produced (loop bounds, block times, and the
 /// caller-side propagation hooks per call site) — computed fresh, or
-/// replayed from its unit artifact.
+/// replayed from its unit artifact together with its IPET solutions.
 struct CtxUnit {
     cfg: Cfg,
     forest: LoopForest,
-    /// The [`unit_key`] (cache runs only): addresses the unit artifact
-    /// and the unit's per-context IPET solutions.
+    /// The [`unit_key`] (cache runs only): addresses the unit artifact.
     key: Option<u64>,
+    /// The artifact must be written after the path phase: the unit was
+    /// analyzed this run, or gained an IPET solution.
+    unsaved: bool,
     out: UnitArtifact,
 }
 
@@ -1356,36 +717,33 @@ fn union_footprint_artifacts(acc: &mut FootprintArtifact, other: &FootprintArtif
 }
 
 impl WcetAnalyzer {
-    /// The context-sensitive pipeline behind [`Self::analyze`] when
-    /// `context_depth ≥ 1`: enumerates call-string contexts, runs the
-    /// value and cache/pipeline analyses per *(function, context)* unit
-    /// top-down (callers first, so entry states are ready), and solves
-    /// one IPET system per unit bottom-up with per-call-site callee
-    /// costs. Reports merge per function by max (WCET) / min (BCET);
-    /// the task headline numbers come from the entry function's root
-    /// context.
+    /// The unit pipeline behind [`Self::analyze`]: enumerates call-string
+    /// contexts (one per function at depth 0), runs the value and
+    /// cache/pipeline analyses per *(function, context)* unit top-down
+    /// (callers first, so entry states are ready), and solves one IPET
+    /// system per unit bottom-up with per-call-site callee costs. Reports
+    /// merge per function by max (WCET) / min (BCET); the task headline
+    /// numbers come from the entry function's root context.
     fn analyze_contexts(&self, p: CtxPipeline<'_, '_>) -> Result<AnalysisReport, AnalyzeError> {
         let CtxPipeline {
-            image,
             program,
             callgraph,
             phases_map,
+            summaries,
+            base_entry,
             front,
             guideline_report,
             mut trace,
-            mut cache,
+            cache,
             key_ctx,
-            mut stats,
             pool,
         } = p;
+        let mut stats = IncrStats::default();
         let contexts = callgraph.enumerate_contexts(
             program.functions.keys(),
             program.entry,
             self.config.context_depth,
         );
-        let summaries =
-            std::sync::Arc::new(wcet_analysis::valueanalysis::compute_summaries(&program));
-        let base_entry = wcet_analysis::valueanalysis::entry_state_from_image(image);
         let overrides = self.config.annotations.access_overrides();
         let levels = callgraph.bottom_up_levels();
         let fn_keys: BTreeMap<Addr, Option<u64>> = phases_map
@@ -1409,7 +767,8 @@ impl WcetAnalyzer {
         let (footprints, own_footprints) = if self.config.persistence
             && (self.config.machine.icache.is_some() || self.config.machine.dcache.is_some())
         {
-            let (sites, own) = self.compute_footprints(&program, &callgraph, &phases_map, image);
+            let (sites, own) =
+                self.compute_footprints(&program, &callgraph, &phases_map, &summaries, &base_entry);
             (Some(sites), own)
         } else {
             (None, BTreeMap::new())
@@ -1421,32 +780,56 @@ impl WcetAnalyzer {
             (Some(_), Some(fps)) => fps.iter().map(|(&f, s)| (f, s.digest())).collect(),
             _ => BTreeMap::new(),
         };
+        // The value component of every unit key whose context enters at
+        // the ⊤ state (cache runs only).
+        let top_digest = key_ctx.map(|_| base_entry.digest());
+        let env = UnitEnv {
+            program: &program,
+            summaries: &summaries,
+            base_entry: &base_entry,
+            overrides: &overrides,
+            footprints: footprints.as_ref(),
+            propagate: contexts.depth() > 0,
+        };
 
         // --- Phases 3–4 per unit: the top-down wavefront ---------------
         // Reversing the bottom-up levels puts every caller context in an
-        // earlier level than the contexts it produces, so entry states
-        // join over already-analyzed (or replayed) units. Units within
-        // one level share no call edges and fan out in parallel: each
-        // replays its unit artifact when the cache holds one for its key
-        // and is analyzed (and stored) otherwise. Merges land in ctx-id
-        // order, so the report is thread-count independent.
+        // earlier wave than the contexts it produces, so entry states
+        // join over already-analyzed (or replayed) units; at depth 0
+        // nothing propagates and every unit joins one wave. Units within
+        // a wave fan out in parallel: each replays its unit artifact when
+        // the cache holds one for its key and is analyzed otherwise.
+        // Merges land in ctx-id order, so the report is thread-count
+        // independent.
         let t3 = Instant::now();
         let mut ctx_work = Duration::ZERO;
         let mut units: BTreeMap<CtxId, CtxUnit> = BTreeMap::new();
         let mut analyzed_cfgs: BTreeMap<Addr, Cfg> = BTreeMap::new();
         let store: Option<&ArtifactCache> = cache.as_deref();
-        for level in levels.iter().rev() {
-            let inputs: Vec<CtxInput> = level
+        let waves: Vec<Vec<CtxId>> = if env.propagate {
+            levels
                 .iter()
-                .flatten()
-                .flat_map(|&f| contexts.ctxs_of(f).iter().copied())
-                .map(|id| {
+                .rev()
+                .map(|level| {
+                    level
+                        .iter()
+                        .flatten()
+                        .flat_map(|&f| contexts.ctxs_of(f).iter().copied())
+                        .collect()
+                })
+                .collect()
+        } else {
+            vec![contexts.iter().map(|(id, _)| id).collect()]
+        };
+        for wave in &waves {
+            let inputs: Vec<CtxInput> = wave
+                .iter()
+                .map(|&id| {
                     ctx_entry_input(
                         id,
                         &contexts,
                         &callgraph,
                         &units,
-                        &base_entry,
                         &self.config.machine,
                         program.entry,
                         self.config.pipeline,
@@ -1455,9 +838,9 @@ impl WcetAnalyzer {
                 .collect();
             let (results, work) = pool.map_in_order(&inputs, |input| {
                 let f = contexts.info(input.id).function;
-                let key = fn_keys[&f].map(|fn_key| {
+                let key = fn_keys[&f].zip(top_digest).map(|(fn_key, top)| {
                     let footprint = footprint_digests.get(&f).copied().unwrap_or(0);
-                    unit_key(fn_key, input.digest(), footprint)
+                    unit_key(fn_key, input.digest(top), footprint)
                 });
                 let replayed = key.zip(store).and_then(|(key, store)| {
                     let artifact = store.lookup_unit(key, &self.config.machine)?;
@@ -1466,19 +849,14 @@ impl WcetAnalyzer {
                 if let Some(unit) = replayed {
                     return (unit, true);
                 }
-                let unit = self.analyze_ctx_unit(
-                    input,
-                    key,
-                    &contexts,
-                    &program,
-                    &summaries,
-                    &overrides,
-                    footprints.as_ref(),
-                );
-                if let (Some(key), Some(store)) = (key, store) {
-                    store.store_unit(key, &unit.out);
-                }
-                (unit, false)
+                // A context entered at the ⊤ state runs exactly the
+                // phase-3 fixpoint (same CFG, entry state, summaries):
+                // reuse it rather than recompute it.
+                let phase3 = match (&input.entry_state, &phases_map[&f]) {
+                    (None, FnPhase::Fresh { fa, .. }) => Some(fa),
+                    _ => None,
+                };
+                (self.analyze_ctx_unit(input, key, f, phase3, &env), false)
             });
             ctx_work += work;
             for (input, (unit, replayed)) in inputs.into_iter().zip(results) {
@@ -1511,26 +889,35 @@ impl WcetAnalyzer {
         }
         trace.phase_times[3] = t3.elapsed();
         trace.phase_work_times[3] = ctx_work;
+        // The phase-3 analyses, per-block states included, are dead from
+        // here on: keep the replayed artifacts (`None`: analyzed fresh).
+        let replayed: BTreeMap<Addr, Option<FunctionArtifact>> = phases_map
+            .into_iter()
+            .map(|(f, phase)| match phase {
+                FnPhase::Fresh { .. } => (f, None),
+                FnPhase::Warm { artifact, .. } => (f, Some(artifact)),
+            })
+            .collect();
 
-        // --- Dirtiness (a statistic at depth ≥ 1) ----------------------
-        // Unit and per-context IPET keys cover every input of what they
+        // --- Dirtiness (a statistic) -----------------------------------
+        // Unit keys and IPET full keys cover every input of what they
         // address, so nothing here gates a cache lookup; the count only
-        // keeps the stats line comparable with depth 0.
+        // reports the cone a change can reach.
         if key_ctx.is_some() {
-            let changed: BTreeSet<Addr> = phases_map
+            let changed: BTreeSet<Addr> = replayed
                 .iter()
-                .filter(|(_, phase)| matches!(phase, FnPhase::Fresh { .. }))
+                .filter(|(_, artifact)| artifact.is_none())
                 .map(|(&f, _)| f)
                 .collect();
-            stats.functions = phases_map.len();
-            stats.fn_hits = phases_map.len() - changed.len();
+            stats.functions = replayed.len();
+            stats.fn_hits = replayed.len() - changed.len();
             stats.fn_misses = changed.len();
             stats.dirty = callgraph.transitive_callers(&changed).len();
         }
 
         // Annotation-sourced bound statistic: per function (not per
         // context — the count describes the code), over the first
-        // context's analyzed forest, mirroring the depth-0 semantics.
+        // context's analyzed forest.
         for &f in program.functions.keys() {
             let unit = &units[&contexts.ctxs_of(f)[0]];
             let mut bounds = unit.out.bounds.clone();
@@ -1592,57 +979,61 @@ impl WcetAnalyzer {
                 }
                 // Coordinator pass: price every Single context's call
                 // sites once (the solvers reuse the vector) and serve
-                // cached per-context solutions.
+                // the solutions its unit artifact carries.
                 let mut served: Vec<Option<CtxOutcome>> = Vec::new();
                 served.resize_with(groups.len(), || None);
                 let mut to_solve: Vec<usize> = Vec::new();
-                let mut store_keys: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
+                let mut full_keys: BTreeMap<usize, u64> = BTreeMap::new();
                 let mut priced: BTreeMap<usize, Vec<(Addr, u64, u64)>> = BTreeMap::new();
                 for (gi, group) in groups.iter().enumerate() {
-                    let CtxGroup::Single(ctx) = group else {
+                    let single = match *group {
+                        CtxGroup::Single(ctx) => {
+                            let (costs, all_priced) = site_costs(
+                                &units[&ctx],
+                                ctx,
+                                &contexts,
+                                &wcet_costs,
+                                &bcet_costs,
+                                &[],
+                            );
+                            all_priced.then_some((ctx, costs))
+                        }
+                        CtxGroup::Scc(_) => None,
+                    };
+                    // SCCs, and contexts whose callee bound is still
+                    // missing (they error in the solver), solve unpriced.
+                    let Some((ctx, costs)) = single else {
                         to_solve.push(gi);
                         continue;
                     };
-                    let unit = &units[ctx];
-                    if let Some(costs) =
-                        ctx_site_costs(unit, *ctx, &contexts, &wcet_costs, &bcet_costs)
-                    {
-                        priced.insert(gi, costs);
+                    let unit = &units[&ctx];
+                    if let Some(key) = unit.key {
+                        // The unit key fixes the CFG, bounds, and block
+                        // times; the full key adds the mode and the site
+                        // costs. Together they cover every input of the
+                        // solve, so any hit is exact.
+                        let full_key =
+                            ipet_site_full_key(ipet_ctx_struct_key(key, mode.as_deref()), &costs);
+                        let stored = unit.out.solutions.get(mode);
+                        if let Some(entry) =
+                            stored.filter(|e| e.full_key == full_key && entry_fits(e, &unit.cfg))
+                        {
+                            stats.ipet_hits += 1;
+                            served[gi] = Some(CtxOutcome {
+                                reports: vec![(
+                                    ctx,
+                                    FunctionReport {
+                                        wcet: entry.wcet.clone(),
+                                        bcet: entry.bcet.clone(),
+                                    },
+                                )],
+                                lp: entry.lp,
+                            });
+                            continue;
+                        }
+                        full_keys.insert(gi, full_key);
                     }
-                    let (Some(key), Some(store)) = (unit.key, cache.as_deref_mut()) else {
-                        to_solve.push(gi);
-                        continue;
-                    };
-                    let Some(costs) = priced.get(&gi) else {
-                        // A callee bound is missing: solve (and error
-                        // there).
-                        to_solve.push(gi);
-                        continue;
-                    };
-                    // The unit key fixes the CFG, bounds, and block
-                    // times; the full key adds the site costs. Together
-                    // they cover every input of the solve, so any hit is
-                    // exact — no dirtiness gate.
-                    let skey = ipet_ctx_struct_key(key, mode.as_deref());
-                    let fkey = ipet_site_full_key(skey, costs);
-                    let hit = store
-                        .lookup_ipet(skey)
-                        .filter(|e| e.full_key == fkey && entry_fits(e, &unit.cfg));
-                    if let Some(entry) = hit {
-                        stats.ipet_hits += 1;
-                        served[gi] = Some(CtxOutcome {
-                            reports: vec![(
-                                *ctx,
-                                FunctionReport {
-                                    wcet: entry.wcet,
-                                    bcet: entry.bcet,
-                                },
-                            )],
-                            lp: entry.lp,
-                        });
-                        continue;
-                    }
-                    store_keys.insert(gi, (skey, fkey));
+                    priced.insert(gi, costs);
                     to_solve.push(gi);
                 }
                 let (outcomes, work) = pool.map_in_order(&to_solve, |&gi| {
@@ -1661,19 +1052,21 @@ impl WcetAnalyzer {
                 stats.ipet_solves += to_solve.len();
                 for (&gi, outcome) in to_solve.iter().zip(outcomes) {
                     let outcome = outcome?;
-                    if let (Some(store), Some(&(skey, fkey))) =
-                        (cache.as_deref_mut(), store_keys.get(&gi))
+                    if let (Some(&full_key), CtxGroup::Single(ctx)) =
+                        (full_keys.get(&gi), &groups[gi])
                     {
+                        let unit = units.get_mut(ctx).expect("every context has a unit");
                         let (_, report) = &outcome.reports[0];
-                        store.store_ipet(
-                            skey,
-                            &IpetEntry {
-                                full_key: fkey,
+                        unit.out.solutions.insert(
+                            mode.clone(),
+                            IpetEntry {
+                                full_key,
                                 wcet: report.wcet.clone(),
                                 bcet: report.bcet.clone(),
                                 lp: outcome.lp,
                             },
                         );
+                        unit.unsaved = true;
                     }
                     served[gi] = Some(outcome);
                 }
@@ -1715,54 +1108,51 @@ impl WcetAnalyzer {
                 root_report = Some(per_ctx[&root_ctx].clone());
             }
         }
+
+        // --- Store units: one file each, solutions included -------------
+        // Contexts with equal keys share one artifact; the first of them
+        // (in id order) speaks for it, so a warm run rewrites nothing
+        // unless that context re-analyzed or re-solved.
+        if let Some(store) = cache.as_deref() {
+            let mut seen: BTreeSet<u64> = BTreeSet::new();
+            for unit in units.values() {
+                if let Some(key) = unit.key.filter(|&k| seen.insert(k)) {
+                    if unit.unsaved {
+                        store.store_unit(key, &unit.out);
+                    }
+                }
+            }
+        }
         trace.phase_times[4] = t4.elapsed();
         trace.phase_work_times[4] = path_work;
 
         // --- Store fresh function artifacts ----------------------------
-        // Bounds/times are per-context at depth ≥ 1 (unit artifacts hold
-        // them), so function artifacts carry the context-oblivious front
-        // matter, the merged-unit loop bounds for completeness, and the
-        // own footprints; the structural replay path is exclusive to
-        // depth 0, whose config fingerprint differs.
+        // The context-oblivious front matter plus the own footprints;
+        // everything per-context lives in the unit artifacts.
         if let (Some(_), Some(store)) = (&key_ctx, cache) {
-            for (&f, phase) in &phases_map {
+            for (&f, replayed) in &replayed {
                 let footprints = own_footprints.get(&f).cloned();
-                let (key, artifact) = match phase {
-                    FnPhase::Fresh { key, fa } => {
+                let artifact = match replayed {
+                    None => {
                         let fm = &front[&f];
-                        let artifact = FunctionArtifact {
+                        FunctionArtifact {
                             hint_calls: fm.hint_calls.clone(),
                             hint_jumps: fm.hint_jumps.clone(),
                             findings: fm.findings.clone(),
                             loops_total: fm.loops_total,
                             loops_auto: fm.loops_auto,
-                            peeled: false,
-                            bounds: fa
-                                .loop_bounds()
-                                .results()
-                                .iter()
-                                .map(|(id, r)| (id.0, *r))
-                                .collect(),
-                            times_wcet: Vec::new(),
-                            times_bcet: Vec::new(),
-                            cache_summary: None,
-                            pipeline_digest: None,
                             footprints,
-                        };
-                        let key = key.expect("keys are computed for every function under a cache");
-                        (key, artifact)
+                        }
                     }
                     // A warm artifact whose footprints had to be
                     // recomputed is repaired in place.
-                    FnPhase::Warm { key, artifact } if artifact.footprints != footprints => (
-                        *key,
-                        FunctionArtifact {
-                            footprints,
-                            ..artifact.clone()
-                        },
-                    ),
-                    FnPhase::Warm { .. } => continue,
+                    Some(artifact) if artifact.footprints != footprints => FunctionArtifact {
+                        footprints,
+                        ..artifact.clone()
+                    },
+                    Some(_) => continue,
                 };
+                let key = fn_keys[&f].expect("keys are computed for every function under a cache");
                 store.store_fn(key, &artifact);
             }
         }
@@ -1841,7 +1231,8 @@ impl WcetAnalyzer {
         program: &Program,
         callgraph: &CallGraph,
         phases_map: &BTreeMap<Addr, FnPhase>,
-        image: &Image,
+        summaries: &Arc<Summaries>,
+        base_entry: &AbstractState,
     ) -> (
         BTreeMap<Addr, SiteFootprints>,
         BTreeMap<Addr, FootprintArtifact>,
@@ -1861,7 +1252,13 @@ impl WcetAnalyzer {
                         // No fitting footprints: re-derive the value
                         // analysis just for them. Slow but
                         // deterministic — identical to a cold run.
-                        None => self.own_footprints(&analyze_function(program, f, image)),
+                        None => self.own_footprints(&valueanalysis::analyze_cfg(
+                            program.cfg(f).expect("reconstructed").clone(),
+                            f,
+                            base_entry.clone(),
+                            AnalysisConfig::default(),
+                            summaries.clone(),
+                        )),
                     }
                 }
             };
@@ -1937,48 +1334,48 @@ impl WcetAnalyzer {
         (result, own)
     }
 
-    /// Analyzes one *(function, context)* unit: value analysis from the
-    /// context's entry state, optional virtual unrolling (re-analyzed
-    /// under the same entry state), cache fixpoints seeded with the entry
-    /// ACS pair, and block times.
-    #[allow(clippy::too_many_arguments)] // phase state, plumbed not stored
+    /// Analyzes one *(function, context)* unit of `f`: value analysis
+    /// from the context's entry state (or `phase3`, the function's
+    /// phase-3 analysis, when the context enters at ⊤ — the same
+    /// fixpoint), optional virtual unrolling (re-analyzed under the same
+    /// entry state), cache fixpoints seeded with the entry ACS pair, and
+    /// block times.
     fn analyze_ctx_unit(
         &self,
         input: &CtxInput,
         key: Option<u64>,
-        contexts: &ContextTable,
-        program: &Program,
-        summaries: &std::sync::Arc<
-            std::collections::HashMap<Addr, wcet_analysis::valueanalysis::FunctionSummary>,
-        >,
-        overrides: &wcet_micro::blocktime::AccessOverrides,
-        footprints: Option<&BTreeMap<Addr, SiteFootprints>>,
+        f: Addr,
+        phase3: Option<&FunctionAnalysis>,
+        env: &UnitEnv<'_>,
     ) -> CtxUnit {
         let machine = &self.config.machine;
-        let f = contexts.info(input.id).function;
-        let site_fps = footprints.and_then(|m| m.get(&f));
+        let site_fps = env.footprints.and_then(|m| m.get(&f));
         // Footprints exist exactly when the persistence analysis is on
         // (and a cache is configured).
-        let persistence = footprints.is_some();
-        let cfg = program.cfg(f).expect("reconstructed").clone();
-        let mut fa = wcet_analysis::valueanalysis::analyze_cfg(
-            cfg,
-            f,
-            input.entry_state.clone(),
-            AnalysisConfig::default(),
-            summaries.clone(),
-        );
+        let persistence = env.footprints.is_some();
+        let value_analysis = |cfg: Cfg| {
+            valueanalysis::analyze_cfg(
+                cfg,
+                f,
+                input
+                    .entry_state
+                    .clone()
+                    .unwrap_or_else(|| env.base_entry.clone()),
+                AnalysisConfig::default(),
+                env.summaries.clone(),
+            )
+        };
+        let mut fa = match phase3 {
+            Some(fa) => Cow::Borrowed(fa),
+            None => Cow::Owned(value_analysis(
+                env.program.cfg(f).expect("reconstructed").clone(),
+            )),
+        };
         let mut peeled_flag = false;
         if self.config.unrolling {
             let (peeled, _skipped) = wcet_cfg::unroll::peel_all(fa.cfg(), fa.forest());
             if peeled.block_count() != fa.cfg().block_count() {
-                fa = wcet_analysis::valueanalysis::analyze_cfg(
-                    peeled,
-                    f,
-                    input.entry_state.clone(),
-                    AnalysisConfig::default(),
-                    summaries.clone(),
-                );
+                fa = Cow::Owned(value_analysis(peeled));
                 peeled_flag = true;
             }
         }
@@ -1995,7 +1392,7 @@ impl WcetAnalyzer {
                         persistence,
                     },
                 );
-                (Some(r.analysis), Some(r.call_states))
+                (Some(r.analysis), Some(propagated(env, r.call_states)))
             }
             None => (None, None),
         };
@@ -2012,7 +1409,7 @@ impl WcetAnalyzer {
                         persistence,
                     },
                 );
-                (Some(r.analysis), Some(r.call_states))
+                (Some(r.analysis), Some(propagated(env, r.call_states)))
             }
             None => (None, None),
         };
@@ -2020,17 +1417,17 @@ impl WcetAnalyzer {
             let r = pipeline::analyze(
                 &fa,
                 machine,
-                overrides,
+                env.overrides,
                 icache.as_ref(),
                 dcache.as_ref(),
                 input.pipeline_entry.as_ref(),
             );
-            (r.times, Some(r.call_states))
+            (r.times, Some(propagated(env, r.call_states)))
         } else {
             let times = BlockTimes::compute_from_parts(
                 &fa,
                 machine,
-                overrides,
+                env.overrides,
                 icache.as_ref(),
                 dcache.as_ref(),
             );
@@ -2041,29 +1438,39 @@ impl WcetAnalyzer {
             bounds: fa.loop_bounds(),
             times,
             cache_summary: icache.as_ref().map(CacheAnalysis::summary4),
-            pre_call: fa.pre_call_states(),
+            pre_call: if env.propagate {
+                fa.pre_call_states()
+            } else {
+                BTreeMap::new()
+            },
             icache_calls,
             dcache_calls,
             pipeline_calls,
+            solutions: BTreeMap::new(),
         };
         // The per-block abstract states are dead from here on; only the
         // CFG and forest travel to the path phase.
-        let (cfg, forest) = fa.into_cfg_and_forest();
+        let (cfg, forest) = match fa {
+            Cow::Owned(fa) => fa.into_cfg_and_forest(),
+            Cow::Borrowed(fa) => (fa.cfg().clone(), fa.forest().clone()),
+        };
         CtxUnit {
             cfg,
             forest,
             key,
+            unsaved: true,
             out,
         }
     }
 
     /// Rebuilds a unit from its artifact against the re-derived CFG and
-    /// loop forest (the peeled pair when the artifact recorded a peel) —
-    /// the depth-≥1 counterpart of [`replay_unit`]. `None`, a miss, when
-    /// the artifact does not fit: a peel that no longer reproduces, a
-    /// block or loop count that differs, a call-site state for a site
-    /// the CFG lacks, or a state family this configuration does not
-    /// track. The caller then analyzes the unit and overwrites the file.
+    /// loop forest (the peeled pair when the artifact recorded a peel).
+    /// `None`, a miss, when the artifact does not fit: a peel that no
+    /// longer reproduces, a block or loop count that differs, a call-site
+    /// state for a site the CFG lacks, or a state family this
+    /// configuration does not track. The caller then analyzes the unit
+    /// and overwrites the file. Stored IPET solutions are checked when
+    /// used (`entry_fits`); a bad one only costs its re-solve.
     fn replay_ctx_unit(&self, key: u64, out: UnitArtifact, orig: &Cfg) -> Option<CtxUnit> {
         let machine = &self.config.machine;
         let forest_of = |cfg: &Cfg| LoopForest::compute(cfg, &Dominators::compute(cfg));
@@ -2104,12 +1511,16 @@ impl WcetAnalyzer {
             cfg,
             forest,
             key: Some(key),
+            unsaved: false,
             out,
         })
     }
 
-    /// Path-analyzes one context group for `mode` — the per-context
-    /// analogue of the depth-0 `analyze_call_group`.
+    /// Path-analyzes one context group for `mode`: a single context, or
+    /// a recursive SCC processed jointly (its members need each other's
+    /// per-activation body costs). Callee costs from every earlier level
+    /// are complete in `wcet_costs`/`bcet_costs`; same-level groups share
+    /// no call edges, so nothing else is needed.
     #[allow(clippy::too_many_arguments)] // phase state, plumbed not stored
     fn solve_ctx_group(
         &self,
@@ -2137,17 +1548,22 @@ impl WcetAnalyzer {
             let facts = self.config.annotations.flow_facts(cfg, mode);
             // The coordinator already priced this context's sites when it
             // probed the cache; reuse its vector instead of re-deriving.
-            let (w_costs, b_costs) = match priced {
-                Some(costs) => {
-                    let (mut w, mut b) = (CallCosts::new(), CallCosts::new());
-                    for &(site, sw, sb) in costs {
-                        w.insert_site(site, sw);
-                        b.insert_site(site, sb);
-                    }
-                    (w, b)
+            // Sites left unpriced (a missing callee bound) make the solver
+            // surface `PathError::MissingCallee`.
+            let derived;
+            let costs = match priced {
+                Some(costs) => costs,
+                None => {
+                    derived =
+                        site_costs(unit, ctx, contexts, wcet_costs, bcet_costs, zero_members).0;
+                    &derived
                 }
-                None => site_cost_tables(unit, ctx, contexts, wcet_costs, bcet_costs, zero_members),
             };
+            let (mut w_costs, mut b_costs) = (CallCosts::new(), CallCosts::new());
+            for &(site, sw, sb) in costs {
+                w_costs.insert_site(site, sw);
+                b_costs.insert_site(site, sb);
+            }
             let penalties = if self.config.pipeline {
                 pipeline::branch_penalties(cfg, &self.config.machine.timing)
             } else {
@@ -2189,9 +1605,11 @@ impl WcetAnalyzer {
             }
             CtxGroup::Scc(members) => {
                 // Recursive cycles: per-activation body costs with the
-                // cycle's internal calls priced at zero, scaled by the
-                // annotated depth — exactly the depth-0 rule (members
-                // have one merged context each).
+                // cycle's internal calls priced at zero, then scaled by
+                // the annotated depth. Each activation runs at most once
+                // per depth level, so depth × Σ(body costs over the
+                // cycle) bounds the whole recursion (members have one
+                // merged context each).
                 let mut reports: Vec<(CtxId, FunctionReport)> = Vec::with_capacity(members.len());
                 for &f in members {
                     let ctx = contexts.ctxs_of(f)[0];
@@ -2200,8 +1618,9 @@ impl WcetAnalyzer {
                 }
                 // Scale from a snapshot of the *raw* per-activation
                 // costs: mutating `reports` while reading siblings from
-                // it would compound the depth factor order-dependently
-                // (the depth-0 path had exactly that bug).
+                // it would compound the depth factor order-dependently,
+                // and substituting a member's own cost for siblings not
+                // yet solved would undercut asymmetric cycles.
                 let raw: BTreeMap<Addr, u64> = reports
                     .iter()
                     .map(|(c, r)| (contexts.info(*c).function, r.wcet.wcet_cycles))
@@ -2212,7 +1631,7 @@ impl WcetAnalyzer {
                         .config
                         .annotations
                         .recursion_depth(f)
-                        .expect("recursion checked before the pipeline split");
+                        .expect("recursion checked by the front end");
                     let body_sum: u64 = callgraph.scc_members(f).iter().map(|m| raw[m]).sum();
                     report.wcet.wcet_cycles = depth.saturating_mul(body_sum);
                     // One activation stays the sound lower bound.
@@ -2223,32 +1642,31 @@ impl WcetAnalyzer {
     }
 }
 
-/// Computes the entry inputs of one context on the coordinator: the join
-/// of the producing callers' pre-call value states, ACS pairs, and
-/// pipes. Recursive functions
-/// and functions without resolved producers fall back to the ⊤ image
-/// entry state (today's merged behaviour) — sound for any call path.
-/// Their cache entries fall back to [`CacheStates::unknown`], not cold:
-/// only `task_entry`'s root context genuinely starts on a cold machine,
-/// and a cold fallback would classify entry fetches always-miss — an
-/// unsound BCET when a real caller already warmed the lines.
-#[allow(clippy::too_many_arguments)] // coordinator state, plumbed not stored
+/// Computes the entry inputs of one context on the coordinator: at depth
+/// ≥ 1, the join of the producing callers' pre-call value states, ACS
+/// pairs, and pipes. Recursive functions, functions without resolved
+/// producers, and every context at depth 0 (where nothing propagates)
+/// enter at the ⊤ image entry state — sound for any call path. Their
+/// cache entries fall back to [`CacheStates::unknown`], not cold: only
+/// the task activation genuinely starts on a cold machine, and a cold
+/// fallback would classify entry fetches always-miss — an unsound BCET
+/// when a real caller already warmed the lines.
 fn ctx_entry_input(
     id: CtxId,
     contexts: &ContextTable,
     callgraph: &CallGraph,
     units: &BTreeMap<CtxId, CtxUnit>,
-    base_entry: &AbstractState,
     machine: &MachineConfig,
     task_entry: Addr,
     pipeline_on: bool,
 ) -> CtxInput {
     let info = contexts.info(id);
+    let propagate = contexts.depth() > 0;
     let mut state: Option<AbstractState> = None;
     let mut icache_entry: Option<CacheStates> = None;
     let mut dcache_entry: Option<CacheStates> = None;
     let mut pipe: Option<PipelineStates> = None;
-    if !callgraph.is_recursive(info.function) {
+    if propagate && !callgraph.is_recursive(info.function) {
         // `preds` is sorted, so the joins fold in a fixed order:
         // deterministic at any thread count.
         for &(caller, site) in &info.preds {
@@ -2285,8 +1703,9 @@ fn ctx_entry_input(
             }
         }
     }
-    let entry_state = state.unwrap_or_else(|| base_entry.clone());
-    let genuinely_cold = info.function == task_entry && info.preds.is_empty();
+    // The task activation: at depth 0 the entry function's one merged
+    // context, at depth ≥ 1 its root context (no producing call edge).
+    let genuinely_cold = info.function == task_entry && (!propagate || info.preds.is_empty());
     if !genuinely_cold {
         if icache_entry.is_none() {
             icache_entry = machine.icache.as_ref().map(CacheStates::unknown);
@@ -2297,7 +1716,8 @@ fn ctx_entry_input(
     }
     // The abstract pipe mirrors the ACS rule: drained is *exact* for the
     // task activation; every other context without tracked producers
-    // (recursion, unresolved callers) falls back to the unknown pipe.
+    // (depth 0, recursion, unresolved callers) falls back to the unknown
+    // pipe.
     let pipeline_entry = pipeline_on.then(|| {
         pipe.unwrap_or_else(|| {
             if genuinely_cold {
@@ -2309,40 +1729,29 @@ fn ctx_entry_input(
     });
     CtxInput {
         id,
-        entry_state,
+        entry_state: state,
         icache_entry,
         dcache_entry,
         pipeline_entry,
     }
 }
 
-/// The per-site cost tables of one context's IPET system: every resolved
-/// call site priced with the *(callee, context)* bounds it targets
-/// (merged max/min over an indirect site's callee set). `zero_members`
-/// are SCC members priced at zero for the recursion rule. Sites with a
-/// missing callee bound stay unpriced — the solver surfaces
-/// [`PathError::MissingCallee`].
-fn site_cost_tables(
-    unit: &CtxUnit,
-    ctx: CtxId,
-    contexts: &ContextTable,
-    wcet_costs: &BTreeMap<CtxId, u64>,
-    bcet_costs: &BTreeMap<CtxId, u64>,
-    zero_members: &[Addr],
-) -> (CallCosts, CallCosts) {
-    let mut w = CallCosts::new();
-    let mut b = CallCosts::new();
-    for (site, w_cost, b_cost) in
-        site_costs(unit, ctx, contexts, wcet_costs, bcet_costs, zero_members)
-    {
-        w.insert_site(site, w_cost);
-        b.insert_site(site, b_cost);
+/// `states` when units hand per-call-site states to their callees;
+/// nothing at depth 0, where no callee reads them.
+fn propagated<T>(env: &UnitEnv<'_>, states: BTreeMap<Addr, T>) -> BTreeMap<Addr, T> {
+    if env.propagate {
+        states
+    } else {
+        BTreeMap::new()
     }
-    (w, b)
 }
 
 /// The priced call sites of one context, in site order: `(site, WCET,
-/// BCET)`. Sites whose callee contexts lack a bound are omitted.
+/// BCET)`, every resolved site priced with the *(callee, context)* bounds
+/// it targets (merged max/min over an indirect site's callee set).
+/// `zero_members` are SCC members priced at zero for the recursion rule.
+/// Sites whose callee contexts lack a bound are omitted; the flag says
+/// whether every resolved site was priced.
 fn site_costs(
     unit: &CtxUnit,
     ctx: CtxId,
@@ -2350,69 +1759,33 @@ fn site_costs(
     wcet_costs: &BTreeMap<CtxId, u64>,
     bcet_costs: &BTreeMap<CtxId, u64>,
     zero_members: &[Addr],
-) -> Vec<(Addr, u64, u64)> {
+) -> (Vec<(Addr, u64, u64)>, bool) {
     let mut out: BTreeMap<Addr, (u64, u64)> = BTreeMap::new();
+    let mut all_priced = true;
     for (site, targets) in unit.cfg.call_sites() {
-        let mut site_w: Option<u64> = None;
-        let mut site_b: Option<u64> = None;
-        let mut complete = true;
-        for callee in targets {
-            let (cw, cb) = if zero_members.contains(&callee) {
-                (0, 0)
-            } else {
-                let Some(cctx) = contexts.callee_ctx(ctx, site, callee) else {
-                    complete = false;
-                    break;
+        let price = targets
+            .iter()
+            .try_fold(None, |acc: Option<(u64, u64)>, &callee| {
+                let (cw, cb) = if zero_members.contains(&callee) {
+                    (0, 0)
+                } else {
+                    let cctx = contexts.callee_ctx(ctx, site, callee)?;
+                    (*wcet_costs.get(&cctx)?, *bcet_costs.get(&cctx)?)
                 };
-                match (wcet_costs.get(&cctx), bcet_costs.get(&cctx)) {
-                    (Some(&cw), Some(&cb)) => (cw, cb),
-                    _ => {
-                        complete = false;
-                        break;
-                    }
-                }
-            };
-            site_w = Some(site_w.map_or(cw, |v| v.max(cw)));
-            site_b = Some(site_b.map_or(cb, |v| v.min(cb)));
-        }
-        if let (true, Some(sw), Some(sb)) = (complete, site_w, site_b) {
+                Some(Some(acc.map_or((cw, cb), |(w, b)| (w.max(cw), b.min(cb)))))
+            });
+        match price {
             // Peeled copies repeat a site with identical targets; the
             // map keeps one deterministic entry.
-            out.insert(site, (sw, sb));
+            Some(Some(price)) => {
+                out.insert(site, price);
+            }
+            Some(None) => {} // unresolved: no callee to price
+            None => all_priced = false,
         }
     }
-    out.into_iter().map(|(s, (w, b))| (s, w, b)).collect()
-}
-
-/// The full-key cost vector of one context's IPET system, or `None` when
-/// a callee bound is still missing (the solver will error there).
-fn ctx_site_costs(
-    unit: &CtxUnit,
-    ctx: CtxId,
-    contexts: &ContextTable,
-    wcet_costs: &BTreeMap<CtxId, u64>,
-    bcet_costs: &BTreeMap<CtxId, u64>,
-) -> Option<Vec<(Addr, u64, u64)>> {
-    let priced = site_costs(unit, ctx, contexts, wcet_costs, bcet_costs, &[]);
-    let wanted: BTreeSet<Addr> = unit
-        .cfg
-        .call_sites()
-        .into_iter()
-        .filter(|(_, targets)| !targets.is_empty())
-        .map(|(s, _)| s)
-        .collect();
-    (priced.len() == wanted.len()).then_some(priced)
-}
-
-/// What one wavefront group's path analysis produced.
-struct GroupOutcome {
-    /// Per-function reports, in the group's processing order.
-    reports: Vec<(Addr, FunctionReport)>,
-    /// Annotation-sourced loop bounds seen (counted in global mode only).
-    annotation_bounds: usize,
-    /// LP solver effort over the group's solves (replayed from the cache
-    /// on a hit, so warm and cold traces match).
-    lp: LpStats,
+    let priced = out.into_iter().map(|(s, (w, b))| (s, w, b)).collect();
+    (priced, all_priced)
 }
 
 /// `(site, targets)` hint pairs for one kind of indirection.
@@ -2473,97 +1846,6 @@ struct FrontMatter {
     findings: Vec<Finding>,
     loops_total: usize,
     loops_auto: usize,
-}
-
-/// A function ready for the path phase: the analyzed CFG/forest pair and
-/// the automatic loop bounds over it.
-struct Unit {
-    /// Content key (cache runs only).
-    key: Option<u64>,
-    /// Whether this unit was replayed from the cache.
-    warm: bool,
-    /// Automatic loop bounds over the analyzed CFG.
-    bounds: LoopBounds,
-    body: UnitBody,
-}
-
-enum UnitBody {
-    Fresh(FunctionAnalysis),
-    Warm { cfg: Cfg, forest: LoopForest },
-}
-
-impl Unit {
-    fn cfg(&self) -> &Cfg {
-        match &self.body {
-            UnitBody::Fresh(fa) => fa.cfg(),
-            UnitBody::Warm { cfg, .. } => cfg,
-        }
-    }
-
-    fn forest(&self) -> &LoopForest {
-        match &self.body {
-            UnitBody::Fresh(fa) => fa.forest(),
-            UnitBody::Warm { forest, .. } => forest,
-        }
-    }
-}
-
-/// Rebuilds a [`Unit`] and its [`BlockTimes`] from a cached artifact
-/// against the re-derived CFG/forest. `None` — a miss — when the artifact
-/// does not fit the structures (corruption, or a peel decision that no
-/// longer reproduces).
-fn replay_unit(
-    key: u64,
-    artifact: &FunctionArtifact,
-    cfg: Cfg,
-    forest: LoopForest,
-) -> Option<(Unit, BlockTimes)> {
-    let times = BlockTimes::from_raw(artifact.times_wcet.clone(), artifact.times_bcet.clone())?;
-    if times.len() != cfg.block_count() {
-        return None;
-    }
-    if artifact.bounds.len() != forest.len() {
-        return None;
-    }
-    let results: Vec<(wcet_cfg::loops::LoopId, BoundResult)> = artifact
-        .bounds
-        .iter()
-        .map(|(id, r)| (wcet_cfg::loops::LoopId(*id), *r))
-        .collect();
-    // Every recorded loop id must exist in the re-derived forest.
-    if results.iter().any(|(id, _)| id.0 >= forest.len()) {
-        return None;
-    }
-    let unit = Unit {
-        key: Some(key),
-        warm: true,
-        bounds: LoopBounds::from_results(results),
-        body: UnitBody::Warm { cfg, forest },
-    };
-    Some((unit, times))
-}
-
-/// The callee cost vector of one function's IPET system, in callee
-/// address order: the inputs the full cache key must cover. `None` when a
-/// callee's bound is not available yet (the solver will surface the
-/// error).
-fn callee_costs(
-    cfg: &Cfg,
-    wcet_costs: &CallCosts,
-    bcet_costs: &CallCosts,
-) -> Option<Vec<(Addr, u64, u64)>> {
-    let mut callees: BTreeSet<Addr> = BTreeSet::new();
-    for (_, targets) in cfg.call_sites() {
-        callees.extend(targets);
-    }
-    callees
-        .into_iter()
-        .map(|c| {
-            let w = wcet_costs.get(&c)?;
-            let b = bcet_costs.get(&c)?;
-            Some((c, *w, *b))
-        })
-        .collect()
 }
 
 /// Cheap structural validation of a cached IPET solution against the CFG

@@ -8,31 +8,27 @@
 //! the function's content:
 //!
 //! * **Function artifacts** (`fn/<key>.art`) — resolver hints, guideline
-//!   findings, loop statistics, automatic loop bounds, per-block WCET/BCET
-//!   times, the cache-classification summary, and (persistence runs) the
-//!   function's own cache footprints. Keyed by
-//!   [`function_key`]: a stable hash of the function's reconstructed CFG
-//!   (raw instruction words *and* resolved terminators), the image's
-//!   initialized data, the callees' may-write-memory summaries, and the
-//!   [`config_fingerprint`]. Everything the value/timing phases read is in
-//!   the key, so a hit replays the exact artifact a fresh run would
-//!   compute.
-//! * **IPET solutions** (`ipet/<structkey>.sol`) — the WCET and BCET
-//!   [`WcetResult`] of one `(function, mode)` pair. The file is addressed
-//!   by the *structure* key (function key + mode); inside, the full key
-//!   additionally covers the callee cost vector. A callee whose bound
-//!   changed therefore misses on the full key and re-solves — dirtiness
-//!   propagates caller-ward through content addressing, mirroring the
-//!   explicit [`wcet_cfg::callgraph::CallGraph::transitive_callers`] pass
-//!   the analyzer runs for its statistics.
-//! * **Unit artifacts** (`unit/<key>.unt`) — at context depth ≥ 1, one
-//!   per *(function, context)* unit: loop bounds, block times, the cache
-//!   summary, and the per-call-site states the unit hands its callees.
-//!   Keyed by [`unit_key`]: the function key, the context's entry-state
-//!   digest, and the callee footprints its call sites are priced with —
-//!   every input of the unit's value, cache, and pipeline analyses.
-//!   Per-context IPET solutions are keyed on the unit key too
-//!   ([`ipet_ctx_struct_key`]), so they need no dirtiness gate.
+//!   findings, loop statistics, and (persistence runs) the function's own
+//!   cache footprints: everything the context-oblivious front end reads.
+//!   Keyed by [`function_key`]: a stable hash of the function's
+//!   reconstructed CFG (raw instruction words *and* resolved
+//!   terminators), the image's initialized data, the callees'
+//!   may-write-memory summaries, and the [`config_fingerprint`].
+//!   Everything the value analysis reads is in the key, so a hit replays
+//!   the exact artifact a fresh run would compute.
+//! * **Unit artifacts** (`unit/<key>.unt`) — one per *(function,
+//!   context)* unit at every context depth (depth 0 has one unit per
+//!   function): loop bounds, block times, the cache summary, the
+//!   per-call-site states the unit hands its callees (depth ≥ 1 only),
+//!   and the unit's IPET solutions per mode. Keyed by [`unit_key`]: the
+//!   function key, the context's entry-state digest, and the callee
+//!   footprints its call sites are priced with — every input of the
+//!   unit's value, cache, and pipeline analyses. Each stored solution
+//!   carries its full key ([`ipet_site_full_key`] over
+//!   [`ipet_ctx_struct_key`]), which adds the per-site callee costs: a
+//!   callee whose bound changed misses on the full key and re-solves, so
+//!   dirtiness propagates caller-ward through content addressing and no
+//!   dirtiness gate is needed.
 //!
 //! Soundness stance: a cache hit must be byte-identical to a fresh run.
 //! That holds because every input of the cached computation is hashed
@@ -47,6 +43,7 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use wcet_analysis::loopbound::{BoundResult, BoundSource, LoopBounds, UnboundedReason};
 use wcet_analysis::state::AbstractState;
@@ -90,7 +87,12 @@ use crate::analyzer::AnalyzerConfig;
 /// `(function key, entry digest)`. Own footprints move into the function
 /// artifact (the `fp/` kind is retired), so a cold run creates no more
 /// files than before and a warm one reads fewer.
-pub(crate) const CACHE_VERSION: u32 = 8;
+/// Version 9: one analysis pipeline — depth 0 runs through the unit
+/// pipeline too, so every depth stores unit artifacts. Each unit artifact
+/// carries its own per-mode IPET solutions (the `ipet/` kind is retired),
+/// function artifacts shrink to the front matter and own footprints, and
+/// a unit's first-miss column is stored only when it is nonzero.
+pub(crate) const CACHE_VERSION: u32 = 9;
 
 /// Magic prefix of every artifact file.
 const MAGIC: &[u8; 4] = b"WCAC";
@@ -242,33 +244,6 @@ fn hash_terminator(h: &mut StableHasher, term: &wcet_cfg::block::Terminator) {
     }
 }
 
-/// Structure key of one `(function, mode)` IPET system.
-#[must_use]
-pub fn ipet_struct_key(fn_key: u64, mode: Option<&str>) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(fn_key);
-    match mode {
-        Some(m) => h.write_str(m),
-        None => h.write_str("\u{0}global"),
-    }
-    h.finish()
-}
-
-/// Full key of one IPET solve: the structure key plus the callee cost
-/// vector it was priced with.
-#[must_use]
-pub fn ipet_full_key(struct_key: u64, costs: &[(Addr, u64, u64)]) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(struct_key);
-    h.write_usize(costs.len());
-    for &(callee, wcet, bcet) in costs {
-        h.write_u32(callee.0);
-        h.write_u64(wcet);
-        h.write_u64(bcet);
-    }
-    h.finish()
-}
-
 /// Key of one *(function, context)* unit of the context-sensitive
 /// pipeline: the function's content key, the digest of the context's
 /// entry state (register/memory intervals and, where configured, the
@@ -323,11 +298,11 @@ pub fn ipet_site_full_key(struct_key: u64, costs: &[(Addr, u64, u64)]) -> u64 {
 // Artifacts
 // ---------------------------------------------------------------------
 
-/// Everything the value/timing phases derive from one function, recorded
-/// for replay. Bounds, times, and the cache summary refer to the
-/// *analyzed* CFG — the peeled copy when `peeled` is set and unrolling is
-/// on; the analyzer re-derives that CFG deterministically from the
-/// reconstruction.
+/// The context-oblivious results of one function's value analysis,
+/// recorded for replay: what the front end (resolution rounds, guideline
+/// report, loop statistics) and the footprint pass read. Everything
+/// per-context — loop bounds, block times, IPET solutions — lives in
+/// [`UnitArtifact`]s.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FunctionArtifact {
     /// Indirect-call target hints the value analysis recovered.
@@ -340,27 +315,9 @@ pub struct FunctionArtifact {
     pub loops_total: usize,
     /// Loops bounded automatically.
     pub loops_auto: usize,
-    /// Whether virtual unrolling changed the CFG (only meaningful for
-    /// artifacts produced under `unrolling: true`).
-    pub peeled: bool,
-    /// Automatic loop-bound results over the analyzed CFG's forest, in
-    /// loop-id order.
-    pub bounds: Vec<(usize, BoundResult)>,
-    /// Per-block WCET cycles over the analyzed CFG.
-    pub times_wcet: Vec<u64>,
-    /// Per-block BCET cycles over the analyzed CFG.
-    pub times_bcet: Vec<u64>,
-    /// Instruction-cache classification counts `(hit, miss, unclassified)`
-    /// when an icache was configured.
-    pub cache_summary: Option<(usize, usize, usize)>,
-    /// Digest of the abstract pipeline entry state the block times were
-    /// derived against (pipeline runs only) — the replay guard for the
-    /// entry/callee asymmetry the function key cannot see.
-    pub pipeline_digest: Option<u64>,
-    /// The function's own cache footprints (persistence runs at context
-    /// depth ≥ 1): the per-context pipeline prices every call with its
-    /// callees' footprints, but a warm run only has fresh value analyses
-    /// for *changed* functions.
+    /// The function's own cache footprints (persistence runs): the unit
+    /// pipeline prices every call with its callees' footprints, but a
+    /// warm run only has fresh value analyses for *changed* functions.
     pub footprints: Option<FootprintArtifact>,
 }
 
@@ -376,12 +333,13 @@ pub struct FootprintArtifact {
     pub dcache: Option<wcet_micro::footprint::CacheFootprint>,
 }
 
-/// Everything one *(function, context)* unit's value, cache, and
-/// pipeline analyses produce that later phases read, stored as
-/// `unit/<key>.unt` under its [`unit_key`]. It carries the
-/// outgoing per-call-site states, so a replayed caller feeds its
-/// callees' entry states exactly as a fresh one would. Bounds, times,
-/// and site keys refer to the *analyzed* CFG (the peeled copy when
+/// Everything one *(function, context)* unit's value, cache, pipeline,
+/// and path analyses produce that later phases (or runs) read, stored as
+/// `unit/<key>.unt` under its [`unit_key`]. At context depth ≥ 1 it
+/// carries the outgoing per-call-site states, so a replayed caller feeds
+/// its callees' entry states exactly as a fresh one would; at depth 0
+/// nothing propagates and those maps stay empty. Bounds, times, site
+/// keys, and solutions refer to the *analyzed* CFG (the peeled copy when
 /// `peeled` is set); the analyzer re-derives that CFG and validates the
 /// artifact against it before trusting anything.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -403,12 +361,16 @@ pub struct UnitArtifact {
     pub dcache_calls: Option<BTreeMap<Addr, CacheStates>>,
     /// Abstract pipe entering each callee (pipeline runs).
     pub pipeline_calls: Option<BTreeMap<Addr, PipelineStates>>,
+    /// The unit's IPET solutions per operating mode (`None` = global),
+    /// each valid for the site costs its [`IpetEntry::full_key`] covers.
+    pub solutions: BTreeMap<Option<String>, IpetEntry>,
 }
 
-/// A cached `(function, mode)` IPET solution.
+/// One stored IPET solution of a unit for one mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IpetEntry {
-    /// The full key (structure + callee costs) this solution is valid for.
+    /// The full key ([`ipet_site_full_key`]: unit, mode, and per-site
+    /// callee costs) this solution is valid for.
     pub full_key: u64,
     /// The WCET solve.
     pub wcet: WcetResult,
@@ -429,16 +391,17 @@ pub struct IncrStats {
     pub fn_hits: usize,
     /// Function artifacts computed fresh (and stored).
     pub fn_misses: usize,
-    /// Functions invalidated by the dirtiness pass: changed functions
-    /// plus their transitive callers.
+    /// Changed functions plus their transitive callers — the cone whose
+    /// IPET solutions may differ from the cache. A statistic only: the
+    /// keys themselves decide every hit.
     pub dirty: usize,
-    /// `(function, mode)` IPET solutions served from the cache.
+    /// `(unit, mode)` IPET solutions served from unit artifacts.
     pub ipet_hits: usize,
     /// IPET systems solved this run.
     pub ipet_solves: usize,
-    /// *(function, context)* units analyzed fresh (context depth ≥ 1).
+    /// *(function, context)* units analyzed fresh.
     pub units_analyzed: usize,
-    /// Units replayed from unit artifacts (context depth ≥ 1).
+    /// Units replayed from unit artifacts.
     pub units_replayed: usize,
 }
 
@@ -450,8 +413,9 @@ impl fmt::Display for IncrStats {
              {} IPET hit(s), {} IPET solve(s)",
             self.fn_hits, self.functions, self.dirty, self.ipet_hits, self.ipet_solves
         )?;
-        // Only the context pipeline has units (every such run has at
-        // least the task's root unit); depth-0 lines stay as they were.
+        // Every cached run has at least the task's root unit; the
+        // benchmark harness parses the four leading numbers by position,
+        // so the unit counts only ever append.
         if self.units_analyzed + self.units_replayed > 0 {
             write!(
                 f,
@@ -473,7 +437,12 @@ impl fmt::Display for IncrStats {
 pub struct ArtifactCache {
     root: PathBuf,
     mem_fn: HashMap<u64, FunctionArtifact>,
-    mem_ipet: HashMap<u64, IpetEntry>,
+    /// Unit artifacts seen by this instance, as their encoded bytes: a
+    /// repeat lookup (`wcet batch`, a reused cache) decodes from memory
+    /// instead of disk, while the compact encoding keeps the run's peak
+    /// memory near that of holding no copy at all. Behind a lock because
+    /// the analyzer's workers look units up concurrently.
+    mem_unit: Mutex<HashMap<u64, Arc<[u8]>>>,
 }
 
 impl ArtifactCache {
@@ -492,7 +461,7 @@ impl ArtifactCache {
         let cache = ArtifactCache {
             root,
             mem_fn: HashMap::new(),
-            mem_ipet: HashMap::new(),
+            mem_unit: Mutex::default(),
         };
         // Sweep each store at most once per process: the serve daemon
         // opens the cache once per request, and re-listing a large
@@ -523,12 +492,6 @@ impl ArtifactCache {
         self.root.join("fn").join(format!("{key:016x}.art"))
     }
 
-    fn ipet_path(&self, struct_key: u64) -> PathBuf {
-        self.root
-            .join("ipet")
-            .join(format!("{struct_key:016x}.sol"))
-    }
-
     /// Looks up a function artifact by content key.
     pub fn lookup_fn(&mut self, key: u64) -> Option<FunctionArtifact> {
         if let Some(a) = self.mem_fn.get(&key) {
@@ -555,56 +518,47 @@ impl ArtifactCache {
         self.mem_fn.insert(key, artifact.clone());
     }
 
-    /// Looks up the IPET entry stored for a `(function, mode)` structure
-    /// key. The caller must still compare [`IpetEntry::full_key`] before
-    /// trusting the solution.
-    pub fn lookup_ipet(&mut self, struct_key: u64) -> Option<IpetEntry> {
-        if let Some(e) = self.mem_ipet.get(&struct_key) {
-            return Some(e.clone());
-        }
-        let path = self.ipet_path(struct_key);
-        let bytes = fs::read(&path).ok()?;
-        let entry = decode_ipet_entry(&bytes)?;
-        touch_for_lru(&path);
-        self.mem_ipet.insert(struct_key, entry.clone());
-        Some(entry)
-    }
-
-    /// Stores (or replaces — newest costs win) an IPET entry.
-    pub fn store_ipet(&mut self, struct_key: u64, entry: &IpetEntry) {
-        if self.mem_ipet.get(&struct_key) == Some(entry) {
-            return;
-        }
-        let _ = write_atomically(&self.ipet_path(struct_key), &encode_ipet_entry(entry));
-        self.mem_ipet.insert(struct_key, entry.clone());
-    }
-
     fn unit_path(&self, key: u64) -> PathBuf {
         self.root.join("unit").join(format!("{key:016x}.unt"))
+    }
+
+    /// The in-memory unit layer. A poisoned lock only means a worker
+    /// panicked mid-lookup; the map itself is always consistent.
+    fn mem_units(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<[u8]>>> {
+        self.mem_unit
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Looks up a unit artifact by [`unit_key`]. Decoding checks that
     /// every recorded cache state has exactly the geometry `machine`
     /// configures; anything else is a miss. The caller must still
     /// validate the artifact against the unit's analyzed CFG.
-    ///
-    /// Unit artifacts bypass the in-memory layer the other kinds keep:
-    /// the analyzer looks each unit up at most once per run and holds
-    /// the decoded units itself, so a second copy would only add to the
-    /// run's peak memory.
     #[must_use]
     pub fn lookup_unit(&self, key: u64, machine: &MachineConfig) -> Option<UnitArtifact> {
+        let held = self.mem_units().get(&key).cloned();
+        if let Some(bytes) = held {
+            // Held bytes were sealed here or verified on their way in.
+            return decode_unit_payload(dec_verified(&bytes, b'U')?, machine);
+        }
         let path = self.unit_path(key);
         let bytes = fs::read(&path).ok()?;
         let artifact = decode_unit_artifact(&bytes, machine)?;
         touch_for_lru(&path);
+        self.mem_units().insert(key, bytes.into());
         Some(artifact)
     }
 
     /// Stores (or overwrites) a unit artifact; best-effort on disk, like
-    /// [`ArtifactCache::store_fn`].
+    /// [`ArtifactCache::store_fn`], and skipped when this instance
+    /// already holds the identical bytes.
     pub fn store_unit(&self, key: u64, artifact: &UnitArtifact) {
-        let _ = write_atomically(&self.unit_path(key), &encode_unit_artifact(artifact));
+        let bytes: Arc<[u8]> = encode_unit_artifact(artifact).into();
+        if self.mem_units().get(&key) == Some(&bytes) {
+            return;
+        }
+        let _ = write_atomically(&self.unit_path(key), &bytes);
+        self.mem_units().insert(key, bytes);
     }
 }
 
@@ -640,9 +594,9 @@ impl fmt::Display for GcStats {
 
 impl ArtifactCache {
     /// The artifact subdirectories, in deterministic order.
-    const KINDS: [&'static str; 3] = ["fn", "ipet", "unit"];
+    const KINDS: [&'static str; 2] = ["fn", "unit"];
     /// The artifact file extension of each of [`Self::KINDS`].
-    const EXTENSIONS: [&'static str; 3] = ["art", "sol", "unt"];
+    const EXTENSIONS: [&'static str; 2] = ["art", "unt"];
 
     /// Removes temp files left behind by crashed or killed writers.
     ///
@@ -764,11 +718,9 @@ impl ArtifactCache {
                     "fn" => {
                         self.mem_fn.remove(&key);
                     }
-                    "ipet" => {
-                        self.mem_ipet.remove(&key);
+                    _ => {
+                        self.mem_units().remove(&key);
                     }
-                    // Unit artifacts have no in-memory copy.
-                    _ => {}
                 }
             }
         }
@@ -899,15 +851,18 @@ fn seal(w: Writer) -> Vec<u8> {
 fn dec(bytes: &[u8], kind: u8) -> Option<Reader<'_>> {
     // Verify the trailing payload digest first: flipped bits anywhere
     // in the body must read as a miss, never as data.
-    if bytes.len() < 8 {
+    let tail = bytes.len().checked_sub(8)?;
+    let digest = u64::from_le_bytes(bytes[tail..].try_into().ok()?);
+    if wcet_isa::hash::hash_bytes(&bytes[..tail]) != digest {
         return None;
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let digest = u64::from_le_bytes(tail.try_into().ok()?);
-    if wcet_isa::hash::hash_bytes(body) != digest {
-        return None;
-    }
-    let mut d = Reader::new(body);
+    dec_verified(bytes, kind)
+}
+
+/// [`dec`] for bytes whose digest was already verified (or that this
+/// process sealed itself): checks only the header.
+fn dec_verified(bytes: &[u8], kind: u8) -> Option<Reader<'_>> {
+    let mut d = Reader::new(&bytes[..bytes.len().checked_sub(8)?]);
     if d.take(4)? != MAGIC.as_slice() || d.u32()? != CACHE_VERSION || d.u8()? != kind {
         return None;
     }
@@ -1027,36 +982,6 @@ fn encode_fn_artifact(a: &FunctionArtifact) -> Vec<u8> {
     }
     e.usize(a.loops_total);
     e.usize(a.loops_auto);
-    e.u8(u8::from(a.peeled));
-    e.usize(a.bounds.len());
-    for (id, result) in &a.bounds {
-        e.usize(*id);
-        bound_to_bytes(&mut e, result);
-    }
-    e.usize(a.times_wcet.len());
-    for &t in &a.times_wcet {
-        e.u64(t);
-    }
-    e.usize(a.times_bcet.len());
-    for &t in &a.times_bcet {
-        e.u64(t);
-    }
-    match a.cache_summary {
-        Some((h, m, nc)) => {
-            e.u8(1);
-            e.usize(h);
-            e.usize(m);
-            e.usize(nc);
-        }
-        None => e.u8(0),
-    }
-    match a.pipeline_digest {
-        Some(d) => {
-            e.u8(1);
-            e.u64(d);
-        }
-        None => e.u8(0),
-    }
     match &a.footprints {
         Some(fps) => {
             e.u8(1);
@@ -1099,37 +1024,6 @@ fn decode_fn_artifact(bytes: &[u8]) -> Option<FunctionArtifact> {
     }
     let loops_total = d.usize()?;
     let loops_auto = d.usize()?;
-    let peeled = match d.u8()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    let n_bounds = d.length()?;
-    let mut bounds = Vec::with_capacity(n_bounds.min(1024));
-    for _ in 0..n_bounds {
-        let id = d.usize()?;
-        bounds.push((id, bound_from_bytes(&mut d)?));
-    }
-    let n_w = d.length()?;
-    let mut times_wcet = Vec::with_capacity(n_w.min(1 << 16));
-    for _ in 0..n_w {
-        times_wcet.push(d.u64()?);
-    }
-    let n_b = d.length()?;
-    let mut times_bcet = Vec::with_capacity(n_b.min(1 << 16));
-    for _ in 0..n_b {
-        times_bcet.push(d.u64()?);
-    }
-    let cache_summary = match d.u8()? {
-        0 => None,
-        1 => Some((d.usize()?, d.usize()?, d.usize()?)),
-        _ => return None,
-    };
-    let pipeline_digest = match d.u8()? {
-        0 => None,
-        1 => Some(d.u64()?),
-        _ => return None,
-    };
     let footprints = match d.u8()? {
         0 => None,
         1 => {
@@ -1152,12 +1046,6 @@ fn decode_fn_artifact(bytes: &[u8]) -> Option<FunctionArtifact> {
         findings,
         loops_total,
         loops_auto,
-        peeled,
-        bounds,
-        times_wcet,
-        times_bcet,
-        cache_summary,
-        pipeline_digest,
         footprints,
     })
 }
@@ -1220,17 +1108,23 @@ fn decode_cache_footprint(d: &mut Reader<'_>) -> Option<wcet_micro::footprint::C
     CacheFootprint::from_parts(config, parts)
 }
 
+/// Block ids and counts are small while worst paths run to hundreds of
+/// blocks, so they are written as varints.
 fn encode_wcet_result(e: &mut Writer, r: &WcetResult) {
     e.u64(r.wcet_cycles);
     e.usize(r.block_counts.len());
     for (b, c) in &r.block_counts {
-        e.usize(b.0);
-        e.u64(*c);
+        e.varint(b.0 as u64);
+        e.varint(*c);
     }
     e.usize(r.worst_path.len());
     for b in &r.worst_path {
-        e.usize(b.0);
+        e.varint(b.0 as u64);
     }
+}
+
+fn decode_block_id(d: &mut Reader<'_>) -> Option<BlockId> {
+    usize::try_from(d.varint()?).ok().map(BlockId)
 }
 
 fn decode_wcet_result(d: &mut Reader<'_>) -> Option<WcetResult> {
@@ -1238,13 +1132,13 @@ fn decode_wcet_result(d: &mut Reader<'_>) -> Option<WcetResult> {
     let n_counts = d.length()?;
     let mut block_counts = BTreeMap::new();
     for _ in 0..n_counts {
-        let b = BlockId(d.usize()?);
-        block_counts.insert(b, d.u64()?);
+        let b = decode_block_id(d)?;
+        block_counts.insert(b, d.varint()?);
     }
     let n_path = d.length()?;
     let mut worst_path = Vec::with_capacity(n_path.min(1 << 16));
     for _ in 0..n_path {
-        worst_path.push(BlockId(d.usize()?));
+        worst_path.push(decode_block_id(d)?);
     }
     Some(WcetResult {
         wcet_cycles,
@@ -1253,33 +1147,49 @@ fn decode_wcet_result(d: &mut Reader<'_>) -> Option<WcetResult> {
     })
 }
 
-fn encode_ipet_entry(entry: &IpetEntry) -> Vec<u8> {
-    let mut e = enc(b'I');
-    e.u64(entry.full_key);
-    encode_wcet_result(&mut e, &entry.wcet);
-    encode_wcet_result(&mut e, &entry.bcet);
-    e.u64(entry.lp.pivots);
-    e.u64(entry.lp.refactorizations);
-    e.u64(entry.lp.presolve_removed);
-    seal(e)
+fn encode_solutions(e: &mut Writer, solutions: &BTreeMap<Option<String>, IpetEntry>) {
+    e.usize(solutions.len());
+    for (mode, entry) in solutions {
+        match mode {
+            Some(m) => {
+                e.u8(1);
+                e.str(m);
+            }
+            None => e.u8(0),
+        }
+        e.u64(entry.full_key);
+        encode_wcet_result(e, &entry.wcet);
+        encode_wcet_result(e, &entry.bcet);
+        e.u64(entry.lp.pivots);
+        e.u64(entry.lp.refactorizations);
+        e.u64(entry.lp.presolve_removed);
+    }
 }
 
-fn decode_ipet_entry(bytes: &[u8]) -> Option<IpetEntry> {
-    let mut d = dec(bytes, b'I')?;
-    let full_key = d.u64()?;
-    let wcet = decode_wcet_result(&mut d)?;
-    let bcet = decode_wcet_result(&mut d)?;
-    let lp = LpStats {
-        pivots: d.u64()?,
-        refactorizations: d.u64()?,
-        presolve_removed: d.u64()?,
-    };
-    d.done().then_some(IpetEntry {
-        full_key,
-        wcet,
-        bcet,
-        lp,
-    })
+fn decode_solutions(d: &mut Reader<'_>) -> Option<BTreeMap<Option<String>, IpetEntry>> {
+    let n = d.length()?;
+    let mut solutions = BTreeMap::new();
+    for _ in 0..n {
+        let mode = match d.u8()? {
+            0 => None,
+            1 => Some(d.str()?),
+            _ => return None,
+        };
+        let entry = IpetEntry {
+            full_key: d.u64()?,
+            wcet: decode_wcet_result(d)?,
+            bcet: decode_wcet_result(d)?,
+            lp: LpStats {
+                pivots: d.u64()?,
+                refactorizations: d.u64()?,
+                presolve_removed: d.u64()?,
+            },
+        };
+        if solutions.insert(mode, entry).is_some() {
+            return None;
+        }
+    }
+    Some(solutions)
 }
 
 fn encode_site_map<T>(e: &mut Writer, map: &BTreeMap<Addr, T>, item: impl Fn(&T, &mut Writer)) {
@@ -1338,11 +1248,18 @@ fn encode_unit_artifact(a: &UnitArtifact) -> Vec<u8> {
         e.usize(id.0);
         bound_to_bytes(&mut e, result);
     }
+    // The first-miss column is all zero without persistence: stored
+    // only when something in it is not.
+    let blocks = (0..a.times.len()).map(BlockId);
+    let first_miss = blocks.clone().any(|b| a.times.first_miss(b) > 0);
     e.usize(a.times.len());
-    for b in (0..a.times.len()).map(BlockId) {
+    e.bool(first_miss);
+    for b in blocks {
         e.u64(a.times.wcet(b));
         e.u64(a.times.bcet(b));
-        e.u64(a.times.first_miss(b));
+        if first_miss {
+            e.u64(a.times.first_miss(b));
+        }
     }
     match a.cache_summary {
         Some((h, m, fm, nc)) => {
@@ -1363,11 +1280,15 @@ fn encode_unit_artifact(a: &UnitArtifact) -> Vec<u8> {
         }
         None => e.u8(0),
     }
+    encode_solutions(&mut e, &a.solutions);
     seal(e)
 }
 
 fn decode_unit_artifact(bytes: &[u8], machine: &MachineConfig) -> Option<UnitArtifact> {
-    let mut d = dec(bytes, b'U')?;
+    decode_unit_payload(dec(bytes, b'U')?, machine)
+}
+
+fn decode_unit_payload(mut d: Reader<'_>, machine: &MachineConfig) -> Option<UnitArtifact> {
     let peeled = d.bool()?;
     let n_bounds = d.length()?;
     let mut bounds = Vec::with_capacity(n_bounds.min(1024));
@@ -1376,13 +1297,13 @@ fn decode_unit_artifact(bytes: &[u8], machine: &MachineConfig) -> Option<UnitArt
         bounds.push((id, bound_from_bytes(&mut d)?));
     }
     let n_blocks = d.length()?;
-    let mut raw: [Vec<u64>; 3] = Default::default();
+    let has_first_miss = d.bool()?;
+    let (mut wcet, mut bcet, mut first_miss) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..n_blocks {
-        for column in &mut raw {
-            column.push(d.u64()?);
-        }
+        wcet.push(d.u64()?);
+        bcet.push(d.u64()?);
+        first_miss.push(if has_first_miss { d.u64()? } else { 0 });
     }
-    let [wcet, bcet, first_miss] = raw;
     let times = BlockTimes::from_raw_with_first_miss(wcet, bcet, first_miss)?;
     let cache_summary = match d.u8()? {
         0 => None,
@@ -1397,6 +1318,7 @@ fn decode_unit_artifact(bytes: &[u8], machine: &MachineConfig) -> Option<UnitArt
         1 => Some(decode_site_map(&mut d, PipelineStates::decode_from)?),
         _ => return None,
     };
+    let solutions = decode_solutions(&mut d)?;
     d.done().then_some(UnitArtifact {
         peeled,
         bounds: LoopBounds::from_results(bounds),
@@ -1406,6 +1328,7 @@ fn decode_unit_artifact(bytes: &[u8], machine: &MachineConfig) -> Option<UnitArt
         icache_calls,
         dcache_calls,
         pipeline_calls,
+        solutions,
     })
 }
 
@@ -1456,27 +1379,63 @@ mod tests {
             }],
             loops_total: 2,
             loops_auto: 1,
+            footprints: None,
+        }
+    }
+
+    /// A unit artifact with a global and a mode solution, over a
+    /// cache-less machine (no per-site cache states to encode).
+    fn sample_unit(first_miss: Vec<u64>) -> UnitArtifact {
+        let entry = |cycles: u64| IpetEntry {
+            full_key: 0xdead_beef_0bad_cafe ^ cycles,
+            wcet: WcetResult {
+                wcet_cycles: cycles,
+                block_counts: BTreeMap::from([(BlockId(0), 1), (BlockId(2), 16)]),
+                worst_path: vec![BlockId(0), BlockId(2), BlockId(2)],
+            },
+            bcet: WcetResult {
+                wcet_cycles: 17,
+                block_counts: BTreeMap::from([(BlockId(0), 1)]),
+                worst_path: vec![BlockId(0)],
+            },
+            lp: LpStats {
+                pivots: 41,
+                refactorizations: 2,
+                presolve_removed: 13,
+            },
+        };
+        UnitArtifact {
             peeled: true,
-            bounds: vec![
+            bounds: LoopBounds::from_results(vec![
                 (
-                    0,
+                    LoopId(0),
                     BoundResult::Bounded {
                         max_iterations: 16,
                         source: BoundSource::Auto,
                     },
                 ),
                 (
-                    1,
+                    LoopId(1),
                     BoundResult::Unbounded {
                         reason: UnboundedReason::DataDependent,
                     },
                 ),
-            ],
-            times_wcet: vec![10, 42, 7],
-            times_bcet: vec![4, 40, 7],
-            cache_summary: Some((12, 3, 1)),
-            pipeline_digest: Some(0x1234_5678_9abc_def0),
-            footprints: None,
+            ]),
+            times: BlockTimes::from_raw_with_first_miss(
+                vec![10, 42, 7],
+                vec![4, 40, 7],
+                first_miss,
+            )
+            .expect("valid times"),
+            cache_summary: None,
+            pre_call: BTreeMap::new(),
+            icache_calls: None,
+            dcache_calls: None,
+            pipeline_calls: None,
+            solutions: BTreeMap::from([
+                (None, entry(420)),
+                (Some("ground".to_owned()), entry(300)),
+            ]),
         }
     }
 
@@ -1523,57 +1482,53 @@ mod tests {
                 "flip at byte {i} must read as a miss"
             );
         }
-        let entry_bytes = {
-            let entry = IpetEntry {
-                full_key: 1,
-                wcet: WcetResult {
-                    wcet_cycles: 99,
-                    block_counts: BTreeMap::from([(BlockId(0), 1)]),
-                    worst_path: vec![BlockId(0)],
-                },
-                bcet: WcetResult {
-                    wcet_cycles: 7,
-                    block_counts: BTreeMap::new(),
-                    worst_path: Vec::new(),
-                },
-                lp: LpStats {
-                    pivots: 3,
-                    refactorizations: 1,
-                    presolve_removed: 2,
-                },
-            };
-            encode_ipet_entry(&entry)
-        };
-        for i in 0..entry_bytes.len() {
-            let mut bad = entry_bytes.clone();
+        let unit_bytes = encode_unit_artifact(&sample_unit(vec![0, 3, 0]));
+        let machine = MachineConfig::simple();
+        for i in 0..unit_bytes.len() {
+            let mut bad = unit_bytes.clone();
             bad[i] ^= 0x01;
-            assert_eq!(decode_ipet_entry(&bad), None, "flip at byte {i}");
+            assert_eq!(
+                decode_unit_artifact(&bad, &machine),
+                None,
+                "flip at byte {i}"
+            );
         }
     }
 
+    /// IPET solutions round-trip inside their unit artifact, with and
+    /// without a first-miss column.
     #[test]
     fn ipet_entry_round_trip() {
-        let entry = IpetEntry {
-            full_key: 0xdead_beef_0bad_cafe,
-            wcet: WcetResult {
-                wcet_cycles: 420,
-                block_counts: BTreeMap::from([(BlockId(0), 1), (BlockId(2), 16)]),
-                worst_path: vec![BlockId(0), BlockId(2), BlockId(2)],
-            },
-            bcet: WcetResult {
-                wcet_cycles: 17,
-                block_counts: BTreeMap::from([(BlockId(0), 1)]),
-                worst_path: vec![BlockId(0)],
-            },
-            lp: LpStats {
-                pivots: 41,
-                refactorizations: 2,
-                presolve_removed: 13,
-            },
-        };
-        let bytes = encode_ipet_entry(&entry);
-        assert_eq!(decode_ipet_entry(&bytes), Some(entry));
-        assert_eq!(decode_fn_artifact(&bytes), None, "kind bytes are checked");
+        let machine = MachineConfig::simple();
+        for first_miss in [vec![0, 0, 0], vec![0, 3, 0]] {
+            let unit = sample_unit(first_miss);
+            let bytes = encode_unit_artifact(&unit);
+            assert_eq!(decode_unit_artifact(&bytes, &machine), Some(unit));
+            assert_eq!(decode_fn_artifact(&bytes), None, "kind bytes are checked");
+        }
+        // An all-zero first-miss column is not written.
+        assert!(
+            encode_unit_artifact(&sample_unit(vec![0, 0, 0])).len()
+                < encode_unit_artifact(&sample_unit(vec![0, 3, 0])).len()
+        );
+    }
+
+    #[test]
+    fn repeat_unit_lookups_are_served_from_memory() {
+        let dir = std::env::temp_dir().join(format!("wcet-incr-unit-mem-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let machine = MachineConfig::simple();
+        let unit = sample_unit(vec![0, 0, 0]);
+        ArtifactCache::open(&dir).unwrap().store_unit(5, &unit);
+        let cache = ArtifactCache::open(&dir).unwrap();
+        assert_eq!(cache.lookup_unit(5, &machine), Some(unit.clone()));
+        fs::remove_file(cache.unit_path(5)).unwrap();
+        assert_eq!(
+            cache.lookup_unit(5, &machine),
+            Some(unit),
+            "the second lookup never went back to disk"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1674,16 +1629,21 @@ mod tests {
 
     #[test]
     fn keys_separate_mode_and_costs() {
-        let k = ipet_struct_key(1, None);
-        assert_ne!(k, ipet_struct_key(1, Some("ground")));
-        assert_ne!(k, ipet_struct_key(2, None));
+        let k = ipet_ctx_struct_key(1, None);
+        assert_ne!(k, ipet_ctx_struct_key(1, Some("ground")));
+        assert_ne!(k, ipet_ctx_struct_key(2, None));
         let costs = [(Addr(0x2000), 10, 5)];
-        assert_ne!(ipet_full_key(k, &costs), ipet_full_key(k, &[]));
+        assert_ne!(ipet_site_full_key(k, &costs), ipet_site_full_key(k, &[]));
         assert_ne!(
-            ipet_full_key(k, &costs),
-            ipet_full_key(k, &[(Addr(0x2000), 11, 5)])
+            ipet_site_full_key(k, &costs),
+            ipet_site_full_key(k, &[(Addr(0x2000), 11, 5)])
         );
-        assert_eq!(ipet_full_key(k, &costs), ipet_full_key(k, &costs));
+        assert_ne!(
+            ipet_site_full_key(k, &costs),
+            ipet_site_full_key(k, &[(Addr(0x2004), 10, 5)]),
+            "the site, not just the cost, is keyed"
+        );
+        assert_eq!(ipet_site_full_key(k, &costs), ipet_site_full_key(k, &costs));
     }
 
     #[test]
@@ -1737,7 +1697,7 @@ mod tests {
         let dead_pid = 4_000_000_000u32;
         let legacy = dir.join("fn").join(format!("aa.art.tmp.{dead_pid}"));
         let seqed = dir.join("unit").join(format!("bb.unt.tmp.{dead_pid}.17"));
-        let garbled = dir.join("ipet").join("cc.sol.tmp.notapid");
+        let garbled = dir.join("unit").join("cc.unt.tmp.notapid");
         let ours = dir
             .join("fn")
             .join(format!("dd.art.tmp.{}.3", std::process::id()));

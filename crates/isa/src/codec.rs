@@ -73,6 +73,16 @@ impl Writer {
         self.u64(v as u64);
     }
 
+    /// Appends a `u64` as an LEB128 varint: seven bits per byte, high
+    /// bit set on every byte but the last — one byte below 128.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.u8((v & 0x7f) as u8 | 0x80);
+            v >>= 7;
+        }
+        self.u8(v as u8);
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
@@ -142,6 +152,24 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64()?).ok()
     }
 
+    /// A `u64` written by [`Writer::varint`]; `None` for an encoding that
+    /// runs out or overflows 64 bits.
+    pub fn varint(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let bits = u64::from(byte & 0x7f);
+            if bits << shift >> shift != bits {
+                return None;
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Some(v);
+            }
+        }
+        None
+    }
+
     /// A sequence length, sanity-capped so a corrupted file cannot
     /// request a huge allocation.
     pub fn length(&mut self) -> Option<usize> {
@@ -200,5 +228,20 @@ mod tests {
             "absurd lengths rejected"
         );
         assert_eq!(Reader::new(&bytes[..3]).u32(), None);
+        assert_eq!(Reader::new(&[0x80]).varint(), None, "unterminated varint");
+        assert_eq!(Reader::new(&[0xff; 10]).varint(), None, "over 64 bits");
+    }
+
+    #[test]
+    fn varints_round_trip_and_stay_short() {
+        for v in [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
+            let mut w = Writer::new();
+            w.varint(v);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.varint(), Some(v));
+            assert!(r.done());
+            assert_eq!(bytes.len() == 1, v < 128, "{v}: {} byte(s)", bytes.len());
+        }
     }
 }

@@ -24,21 +24,16 @@ use wcet_micro::blocktime::BlockTimes;
 
 use crate::flowfacts::{FactOp, FlowFact};
 
-/// Callee costs, added to blocks that call them (bottom-up
-/// interprocedural composition).
+/// Callee costs per call site, added to the blocks that call them
+/// (bottom-up interprocedural composition).
 ///
-/// Two addressing levels:
-///
-/// * **by callee** ([`CallCosts::insert`]) — one merged cost per callee
-///   entry address, the classic context-insensitive pricing;
-/// * **by call site** ([`CallCosts::insert_site`]) — a cost for one
-///   specific call instruction. The context-sensitive pipeline prices
-///   each site with the WCET of the *(callee, context)* pair the site
-///   resolves to, so two calls to the same function can carry different
-///   costs. Site costs take precedence over callee costs.
+/// Each cost belongs to one specific call instruction, so two calls to the
+/// same function can carry different costs: the unit pipeline prices each
+/// site with the bound of the *(callee, context)* pair it resolves to. A
+/// call site without a cost fails the solve with
+/// [`PathError::MissingCallee`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CallCosts {
-    by_callee: BTreeMap<Addr, u64>,
     by_site: BTreeMap<Addr, u64>,
 }
 
@@ -49,27 +44,14 @@ impl CallCosts {
         CallCosts::default()
     }
 
-    /// Sets the merged cost of `callee` (used by every call site without
-    /// a site-specific cost).
-    pub fn insert(&mut self, callee: Addr, cost: u64) {
-        self.by_callee.insert(callee, cost);
-    }
-
-    /// The merged cost of `callee`, if set.
-    #[must_use]
-    pub fn get(&self, callee: &Addr) -> Option<&u64> {
-        self.by_callee.get(callee)
-    }
-
-    /// Sets the cost charged at the call instruction `site`, overriding
-    /// any per-callee cost there. For indirect calls the caller must
-    /// pass the already-merged (max for WCET, min for BCET) cost over
-    /// the site's possible callee contexts.
+    /// Sets the cost charged at the call instruction `site`. For indirect
+    /// calls the caller must pass the already-merged (max for WCET, min
+    /// for BCET) cost over the site's possible callees.
     pub fn insert_site(&mut self, site: Addr, cost: u64) {
         self.by_site.insert(site, cost);
     }
 
-    /// The site-specific cost at `site`, if set.
+    /// The cost at `site`, if set.
     #[must_use]
     pub fn site(&self, site: Addr) -> Option<u64> {
         self.by_site.get(&site).copied()
@@ -92,9 +74,9 @@ pub enum PathError {
         /// The offending call sites.
         sites: Vec<Addr>,
     },
-    /// A callee's WCET was not supplied.
+    /// A call site was not priced: no callee cost was supplied for it.
     MissingCallee {
-        /// The callee entry address.
+        /// The entry address of (the first) callee the site targets.
         callee: Addr,
     },
     /// The ILP failed (infeasible flow facts, solver limits).
@@ -447,34 +429,12 @@ fn solve(
         let block = cfg.block(BlockId(b));
         let call_site = block.site_addr();
         let call_cost: u64 = match &block.term {
-            Terminator::Call { callee, .. } => match call_costs.site(call_site) {
-                Some(cost) => cost,
-                None => *call_costs
-                    .get(callee)
-                    .ok_or(PathError::MissingCallee { callee: *callee })?,
-            },
-            Terminator::CallInd { callees, .. } if !callees.is_empty() => {
-                match call_costs.site(call_site) {
-                    // Already merged over the site's callee contexts.
-                    Some(cost) => cost,
-                    None => {
-                        let per: Result<Vec<u64>, PathError> = callees
-                            .iter()
-                            .map(|c| {
-                                call_costs
-                                    .get(c)
-                                    .copied()
-                                    .ok_or(PathError::MissingCallee { callee: *c })
-                            })
-                            .collect();
-                        let per = per?;
-                        match sense {
-                            Sense::Maximize => per.into_iter().max().unwrap_or(0),
-                            Sense::Minimize => per.into_iter().min().unwrap_or(0),
-                        }
-                    }
-                }
-            }
+            Terminator::Call { callee, .. } => call_costs
+                .site(call_site)
+                .ok_or(PathError::MissingCallee { callee: *callee })?,
+            Terminator::CallInd { callees, .. } if !callees.is_empty() => call_costs
+                .site(call_site)
+                .ok_or(PathError::MissingCallee { callee: callees[0] })?,
             _ => 0,
         };
         objective.push((block_vars[b], (base + call_cost) as f64));
@@ -782,12 +742,13 @@ mod tests {
         let src = "main: call f\n halt\nf: ret";
         let image = assemble(src).unwrap();
         let p = reconstruct(&image, &TargetResolver::empty()).unwrap();
-        let f_entry = image.symbol("f").unwrap();
         let fa = analyze_function(&p, p.entry, &image);
         let times = BlockTimes::compute(&fa, &MachineConfig::simple());
+        let sites = fa.cfg().call_sites();
+        assert_eq!(sites.len(), 1);
 
         let mut costs = CallCosts::new();
-        costs.insert(f_entry, 0);
+        costs.insert_site(sites[0].0, 0);
         let base = wcet(
             fa.cfg(),
             fa.forest(),
@@ -797,7 +758,7 @@ mod tests {
             &costs,
         )
         .unwrap();
-        costs.insert(f_entry, 100);
+        costs.insert_site(sites[0].0, 100);
         let with_callee = wcet(
             fa.cfg(),
             fa.forest(),
@@ -809,6 +770,7 @@ mod tests {
         .unwrap();
         assert_eq!(with_callee.wcet_cycles, base.wcet_cycles + 100);
 
+        // An unpriced call site is an error naming the callee.
         let missing = wcet(
             fa.cfg(),
             fa.forest(),
@@ -817,55 +779,52 @@ mod tests {
             &[],
             &CallCosts::new(),
         );
-        assert!(matches!(missing, Err(PathError::MissingCallee { .. })));
+        assert_eq!(
+            missing.unwrap_err(),
+            PathError::MissingCallee {
+                callee: image.symbol("f").unwrap()
+            }
+        );
     }
 
     #[test]
-    fn site_costs_override_callee_costs() {
+    fn site_costs_price_each_call_separately() {
         // Two calls to the same callee priced differently per site: the
         // WCET charges each site its own context cost, not twice the
         // merged worst case.
         let src = "main: call f\n call f\n halt\nf: ret";
         let image = assemble(src).unwrap();
         let p = reconstruct(&image, &TargetResolver::empty()).unwrap();
-        let f_entry = image.symbol("f").unwrap();
         let fa = analyze_function(&p, p.entry, &image);
         let times = BlockTimes::compute(&fa, &MachineConfig::simple());
-
-        let mut merged = CallCosts::new();
-        merged.insert(f_entry, 100);
-        let both_merged = wcet(
-            fa.cfg(),
-            fa.forest(),
-            &times,
-            &fa.loop_bounds(),
-            &[],
-            &merged,
-        )
-        .unwrap();
-
         let sites = fa.cfg().call_sites();
         assert_eq!(sites.len(), 2);
+        let solve =
+            |costs: &CallCosts| wcet(fa.cfg(), fa.forest(), &times, &fa.loop_bounds(), &[], costs);
+
+        let mut merged = CallCosts::new();
+        merged.insert_site(sites[0].0, 100);
+        merged.insert_site(sites[1].0, 100);
+        let both_merged = solve(&merged).unwrap();
+
         let mut per_site = CallCosts::new();
-        per_site.insert(f_entry, 100); // fallback, shadowed below
         per_site.insert_site(sites[0].0, 10);
         per_site.insert_site(sites[1].0, 100);
-        let contexted = wcet(
-            fa.cfg(),
-            fa.forest(),
-            &times,
-            &fa.loop_bounds(),
-            &[],
-            &per_site,
-        )
-        .unwrap();
+        let contexted = solve(&per_site).unwrap();
         assert_eq!(
             both_merged.wcet_cycles - contexted.wcet_cycles,
             90,
             "the cheap site saves exactly its context delta"
         );
         assert_eq!(per_site.site(sites[0].0), Some(10));
-        assert_eq!(per_site.get(&f_entry), Some(&100));
+
+        // Pricing only one of the two sites is not enough.
+        let mut partial = CallCosts::new();
+        partial.insert_site(sites[0].0, 10);
+        assert!(matches!(
+            solve(&partial),
+            Err(PathError::MissingCallee { .. })
+        ));
     }
 
     #[test]

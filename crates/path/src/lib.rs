@@ -25,18 +25,23 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let image = assemble(
-//!     "main: li r1, 10\nloop: subi r1, r1, 1\n bne r1, r0, loop\n halt",
+//!     "main: li r1, 10\nloop: subi r1, r1, 1\n bne r1, r0, loop\n call f\n halt\nf: ret",
 //! )?;
 //! let p = reconstruct(&image, &TargetResolver::empty())?;
 //! let fa = analyze_function(&p, p.entry, &image);
 //! let times = BlockTimes::compute(&fa, &MachineConfig::simple());
+//! // Every call site is priced with its callee's bound (here: 7 cycles).
+//! let mut costs = ipet::CallCosts::new();
+//! for (site, _callees) in fa.cfg().call_sites() {
+//!     costs.insert_site(site, 7);
+//! }
 //! let result = ipet::wcet(
 //!     fa.cfg(),
 //!     fa.forest(),
 //!     &times,
 //!     &fa.loop_bounds(),
 //!     &[],
-//!     &ipet::CallCosts::new(),
+//!     &costs,
 //! )?;
 //! assert!(result.wcet_cycles > 0);
 //! # Ok(())

@@ -15,8 +15,7 @@
 //!   --persistence                per-context cache persistence analysis:
 //!                                callee footprint summaries at calls and
 //!                                first-miss classification (one miss per
-//!                                activation); needs --caches and
-//!                                --context-depth ≥ 1
+//!                                activation); needs --caches
 //!   --pipeline                   abstract in-order pipeline timing with
 //!                                static BTFNT branch prediction: block
 //!                                costs become retirement deltas over
@@ -398,20 +397,10 @@ fn parse_options(args: &[String]) -> Result<(CliOptions, Vec<String>), String> {
             path => files.push(path.to_owned()),
         }
     }
-    if opts.persistence {
-        // The persistence analysis lives in the context-sensitive
-        // pipeline and classifies against the cache model; without
-        // either it would silently change nothing.
-        if !opts.caches {
-            return Err("--persistence requires --caches (there is no cache to persist in)".into());
-        }
-        if opts.context_depth == 0 {
-            return Err(
-                "--persistence requires --context-depth 1 or higher (it runs in the \
-                 context-sensitive pipeline)"
-                    .into(),
-            );
-        }
+    // The persistence analysis classifies against the cache model; on
+    // the cache-less machine it would silently change nothing.
+    if opts.persistence && !opts.caches {
+        return Err("--persistence requires --caches (there is no cache to persist in)".into());
     }
     Ok((opts, files))
 }

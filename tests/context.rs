@@ -108,14 +108,14 @@ fn context_reports_are_thread_invariant() {
     }
 }
 
-/// Warm incremental runs replay byte-identically at depth 1 — at any
-/// thread count — with every function artifact hit and zero IPET
-/// re-solves (unit artifacts and per-context solutions are keyed on the
+/// Warm incremental runs replay byte-identically at depths 0, 1, and 2
+/// — at any thread count — with every function artifact hit and zero
+/// IPET re-solves (unit artifacts and their solutions are keyed on the
 /// function key, the context's entry-state digest, and the callee
 /// footprints).
 #[test]
 fn context_warm_replay_is_byte_identical_at_any_thread_count() {
-    for depth in [1usize, 2] {
+    for depth in [0usize, 1, 2] {
         let w = workload::context_killer();
         let tmp = TempCache::new(&format!("replay-{depth}"));
         let mut cache = tmp.open();

@@ -224,10 +224,11 @@ fn corrupted_cache_degrades_to_miss() {
             .analyze_incremental(&w.image, &mut cache)
             .expect("cold run");
     }
-    // Corrupt every stored artifact and solution on disk: alternately by
-    // truncation (caught by length/digest checks) and by flipping a
-    // payload byte (caught by the digest alone — the bytes still parse).
-    for sub in ["fn", "ipet"] {
+    // Corrupt every stored function and unit artifact (solutions
+    // included) on disk: alternately by truncation (caught by
+    // length/digest checks) and by flipping a payload byte (caught by the
+    // digest alone — the bytes still parse).
+    for sub in ["fn", "unit"] {
         for (i, entry) in std::fs::read_dir(tmp.dir.join(sub))
             .expect("cache dir exists")
             .enumerate()
@@ -362,6 +363,122 @@ fn bad_unit_artifacts_degrade_to_misses_and_are_overwritten() {
             (0, units),
             "{damage:?}: bad files were overwritten: {stats:?}"
         );
+        assert_eq!(canonical(healed), reference);
+    }
+}
+
+/// The artifact files under a store root: subdirectory name → file names.
+fn store_layout(root: &std::path::Path) -> std::collections::BTreeMap<String, Vec<String>> {
+    let name = |entry: std::io::Result<std::fs::DirEntry>| {
+        entry
+            .expect("dir entry")
+            .file_name()
+            .into_string()
+            .expect("utf-8 name")
+    };
+    std::fs::read_dir(root)
+        .expect("store root")
+        .map(name)
+        .map(|sub| {
+            let files = std::fs::read_dir(root.join(&sub))
+                .expect("artifact subdirectory")
+                .map(name)
+                .collect();
+            (sub, files)
+        })
+        .collect()
+}
+
+/// A cold run with a cache writes one function artifact per function and
+/// one unit artifact per distinct unit key — each unit carrying its own
+/// IPET solutions — and nothing else, at depth 0 and at depth 1.
+#[test]
+fn cold_run_writes_one_file_per_function_and_per_unit() {
+    let w = workload::call_fanout_with(4, &[]);
+    for depth in [0, 1] {
+        let tmp = TempCache::new(&format!("layout-{depth}"));
+        let analyzer = WcetAnalyzer::with_config(AnalyzerConfig {
+            context_depth: depth,
+            ..AnalyzerConfig::new()
+        });
+        let cold = analyzer
+            .analyze_incremental(&w.image, &mut tmp.open())
+            .expect("cold run");
+        let stats = cold.incr.expect("stats present");
+        // `main` calls every leaf once: one context, with its own key,
+        // per function at either depth.
+        assert_eq!(stats.units_analyzed, stats.functions, "depth {depth}");
+        let layout = store_layout(&tmp.dir);
+        assert_eq!(
+            layout.keys().collect::<Vec<_>>(),
+            ["fn", "unit"],
+            "depth {depth}: no other artifact kind"
+        );
+        assert_eq!(layout["fn"].len(), stats.functions, "depth {depth}");
+        assert_eq!(layout["unit"].len(), stats.units_analyzed, "depth {depth}");
+        assert!(layout["fn"].iter().all(|f| f.ends_with(".art")));
+        assert!(layout["unit"].iter().all(|f| f.ends_with(".unt")));
+    }
+}
+
+/// A unit whose stored IPET solution is damaged — a full key that no
+/// longer matches, or a worst path through a block the CFG lacks — but
+/// whose analysis part is intact replays the analysis and re-solves just
+/// the IPET system: the warm report equals the cold one, and the repaired
+/// solution is written back.
+#[test]
+fn damaged_unit_solutions_re_solve_and_heal() {
+    let w = workload::call_tree_heavy(2, 3, &[]);
+    for depth in [0, 1] {
+        let config = AnalyzerConfig {
+            annotations: w.annotations.clone(),
+            context_depth: depth,
+            ..AnalyzerConfig::new()
+        };
+        let analyzer = WcetAnalyzer::with_config(config.clone());
+        let tmp = TempCache::new(&format!("solutions-{depth}"));
+        let cold = analyzer
+            .analyze_incremental(&w.image, &mut tmp.open())
+            .expect("cold run");
+        let cold_stats = cold.incr.clone().expect("stats present");
+        let reference = canonical(cold);
+
+        let cache = tmp.open();
+        let mut damaged = 0;
+        for file in &store_layout(&tmp.dir)["unit"] {
+            let stem = file.strip_suffix(".unt").expect("unit file");
+            let key = u64::from_str_radix(stem, 16).expect("hex key");
+            let mut unit = cache.lookup_unit(key, &config.machine).expect("valid unit");
+            for solution in unit.solutions.values_mut() {
+                if damaged % 2 == 0 {
+                    solution.full_key ^= 1;
+                } else {
+                    solution
+                        .wcet
+                        .worst_path
+                        .push(wcet_predictability::cfg::BlockId(usize::MAX));
+                }
+                damaged += 1;
+            }
+            cache.store_unit(key, &unit);
+        }
+        assert!(damaged > 1, "depth {depth}: both kinds of damage applied");
+
+        let warm = analyzer
+            .analyze_incremental(&w.image, &mut tmp.open())
+            .expect("warm run");
+        let stats = warm.incr.clone().expect("stats present");
+        assert_eq!(stats.units_analyzed, 0, "depth {depth}: {stats:?}");
+        assert_eq!(stats.units_replayed, cold_stats.units_analyzed);
+        assert_eq!(stats.ipet_hits, 0, "depth {depth}: {stats:?}");
+        assert_eq!(stats.ipet_solves, cold_stats.ipet_solves);
+        assert_eq!(canonical(warm), reference, "depth {depth}: warm = cold");
+
+        let healed = analyzer
+            .analyze_incremental(&w.image, &mut tmp.open())
+            .expect("healed run");
+        let stats = healed.incr.clone().expect("stats present");
+        assert_eq!(stats.ipet_solves, 0, "depth {depth}: healed: {stats:?}");
         assert_eq!(canonical(healed), reference);
     }
 }

@@ -4,8 +4,8 @@
 //! classification must *strictly* tighten the WCET bound on the
 //! persistence workloads over the clobbering (PR-4) analysis, the
 //! soundness oracle must hold across the whole corpus with the feature
-//! on and off, and warm incremental replays must stay byte-identical to
-//! cold at any thread count.
+//! on and off (at depths 0 and 1), and warm incremental replays must stay
+//! byte-identical to cold at any thread count.
 
 use std::path::PathBuf;
 
@@ -108,9 +108,9 @@ fn persistence_strictly_tightens_the_persistence_workloads() {
 }
 
 /// The soundness oracle across the whole corpus, persistence on and off,
-/// on the cached machine at depth 1: observed ∈ [BCET, WCET], and the
-/// persistence bound never exceeds the clobbering bound (footprints and
-/// first-miss only ever refine).
+/// on the cached machine at depths 0 and 1: observed ∈ [BCET, WCET], and
+/// the persistence bound never exceeds the clobbering bound (footprints
+/// and first-miss only ever refine).
 #[test]
 fn workload_soundness_oracle_persistence() {
     for w in workload::corpus() {
@@ -120,32 +120,43 @@ fn workload_soundness_oracle_persistence() {
             .run(100_000_000)
             .unwrap_or_else(|e| panic!("workload {} halts: {e}", w.name))
             .cycles;
-        let mut bounds = Vec::new();
-        for persistence in [false, true] {
-            let report = WcetAnalyzer::with_config(config(&w, persistence, None))
-                .analyze(&w.image)
-                .unwrap_or_else(|e| panic!("workload {} (persistence {persistence}): {e}", w.name));
+        for depth in [0, 1] {
+            let mut bounds = Vec::new();
+            for persistence in [false, true] {
+                let config = AnalyzerConfig {
+                    context_depth: depth,
+                    ..config(&w, persistence, None)
+                };
+                let report = WcetAnalyzer::with_config(config)
+                    .analyze(&w.image)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "workload {} (depth {depth}, persistence {persistence}): {e}",
+                            w.name
+                        )
+                    });
+                assert!(
+                    report.wcet_cycles >= observed,
+                    "{} (depth {depth}, persistence {persistence}): observed {observed} > WCET {}",
+                    w.name,
+                    report.wcet_cycles
+                );
+                assert!(
+                    report.bcet_cycles <= observed,
+                    "{} (depth {depth}, persistence {persistence}): observed {observed} < BCET {}",
+                    w.name,
+                    report.bcet_cycles
+                );
+                bounds.push(report.wcet_cycles);
+            }
             assert!(
-                report.wcet_cycles >= observed,
-                "{} (persistence {persistence}): observed {observed} > WCET {}",
+                bounds[1] <= bounds[0],
+                "{} (depth {depth}): persistence must only refine ({} vs {})",
                 w.name,
-                report.wcet_cycles
+                bounds[1],
+                bounds[0]
             );
-            assert!(
-                report.bcet_cycles <= observed,
-                "{} (persistence {persistence}): observed {observed} < BCET {}",
-                w.name,
-                report.bcet_cycles
-            );
-            bounds.push(report.wcet_cycles);
         }
-        assert!(
-            bounds[1] <= bounds[0],
-            "{}: persistence must only refine ({} vs {})",
-            w.name,
-            bounds[1],
-            bounds[0]
-        );
     }
 }
 
@@ -170,42 +181,44 @@ fn persistence_reports_are_thread_invariant() {
     }
 }
 
-/// Warm incremental replays with persistence on: byte-identical to cold
-/// at any thread count, every function artifact (and footprint) hit,
-/// zero IPET re-solves.
+/// Warm incremental replays with persistence on, at depths 0 and 1:
+/// byte-identical to cold at any thread count, every function artifact
+/// (and footprint) hit, zero IPET re-solves.
 #[test]
 fn persistence_warm_replay_is_byte_identical_at_any_thread_count() {
-    for w in [
-        workload::persistence_killer(),
-        workload::call_tree_heavy(2, 3, &[]),
-    ] {
-        let tmp = TempCache::new(w.name);
-        let mut cache = tmp.open();
-        let analyzer = WcetAnalyzer::with_config(config(&w, true, None));
-        let plain = canonical(analyzer.analyze(&w.image).unwrap());
-        let cold = analyzer.analyze_incremental(&w.image, &mut cache).unwrap();
-        assert_eq!(canonical(cold), plain, "{}: cold cached run", w.name);
-
-        for threads in [Some(1), Some(4), None] {
-            let analyzer = WcetAnalyzer::with_config(config(&w, true, threads));
-            let warm = analyzer.analyze_incremental(&w.image, &mut cache).unwrap();
-            let stats = warm.incr.clone().expect("stats present");
+    for depth in [0, 1] {
+        for w in [
+            workload::persistence_killer(),
+            workload::call_tree_heavy(2, 3, &[]),
+        ] {
+            let config = |threads| AnalyzerConfig {
+                context_depth: depth,
+                ..config(&w, true, threads)
+            };
+            let tmp = TempCache::new(&format!("{}-{depth}", w.name));
+            let mut cache = tmp.open();
+            let analyzer = WcetAnalyzer::with_config(config(None));
+            let plain = canonical(analyzer.analyze(&w.image).unwrap());
+            let cold = analyzer.analyze_incremental(&w.image, &mut cache).unwrap();
             assert_eq!(
-                stats.fn_hits, stats.functions,
-                "{} threads {threads:?}: all artifacts replay: {stats:?}",
-                w.name
-            );
-            assert_eq!(
-                stats.ipet_solves, 0,
-                "{} threads {threads:?}: no IPET re-solves: {stats:?}",
-                w.name
-            );
-            assert_eq!(
-                canonical(warm),
+                canonical(cold),
                 plain,
-                "{} threads {threads:?}: warm replay diverged",
+                "{} depth {depth}: cold cached run",
                 w.name
             );
+
+            for threads in [Some(1), Some(4), None] {
+                let analyzer = WcetAnalyzer::with_config(config(threads));
+                let warm = analyzer.analyze_incremental(&w.image, &mut cache).unwrap();
+                let stats = warm.incr.clone().expect("stats present");
+                let at = format!("{} depth {depth} threads {threads:?}", w.name);
+                assert_eq!(
+                    stats.fn_hits, stats.functions,
+                    "{at}: all artifacts replay: {stats:?}"
+                );
+                assert_eq!(stats.ipet_solves, 0, "{at}: no IPET re-solves: {stats:?}");
+                assert_eq!(canonical(warm), plain, "{at}: warm replay diverged");
+            }
         }
     }
 }
