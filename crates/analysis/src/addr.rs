@@ -14,6 +14,7 @@
 
 use std::collections::BTreeMap;
 
+use wcet_cfg::block::Terminator;
 use wcet_cfg::TargetResolver;
 use wcet_isa::{Addr, Inst};
 
@@ -58,6 +59,16 @@ pub fn access_values(fa: &FunctionAnalysis) -> BTreeMap<Addr, Value> {
 #[must_use]
 pub fn resolver_hints(fa: &FunctionAnalysis) -> TargetResolver {
     let mut resolver = TargetResolver::empty();
+    // `callr`/`jr` always end a block, so a CFG without an indirect
+    // terminator has no hint to give: skip the transfer pass.
+    if !fa.cfg().iter().any(|(_, block)| {
+        matches!(
+            block.term,
+            Terminator::CallInd { .. } | Terminator::JumpInd { .. }
+        )
+    }) {
+        return resolver;
+    }
     for (id, block) in fa.cfg().iter() {
         let Some(mut state) = fa.block_in(id).cloned() else {
             continue;

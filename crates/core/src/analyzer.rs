@@ -42,9 +42,6 @@ pub struct AnalyzerConfig {
     pub machine: MachineConfig,
     /// Design-level annotations (Section 4.3).
     pub annotations: AnnotationSet,
-    /// Maximum rounds of value-analysis-driven indirect-target
-    /// resolution and CFG re-reconstruction.
-    pub max_resolve_rounds: usize,
     /// Also run the guideline checker and attach its report.
     pub check_guidelines: bool,
     /// Virtually unroll (peel the first iteration of) every reducible
@@ -99,14 +96,13 @@ pub struct AnalyzerConfig {
 }
 
 impl AnalyzerConfig {
-    /// Defaults: simple machine, no annotations, 3 resolve rounds,
-    /// guideline checking on, one worker per core.
+    /// Defaults: simple machine, no annotations, guideline checking on,
+    /// one worker per core.
     #[must_use]
     pub fn new() -> AnalyzerConfig {
         AnalyzerConfig {
             machine: MachineConfig::simple(),
             annotations: AnnotationSet::new(),
-            max_resolve_rounds: 3,
             check_guidelines: true,
             unrolling: false,
             parallelism: None,
@@ -132,15 +128,18 @@ impl AnalyzerConfig {
 }
 
 /// `Default` delegates to [`AnalyzerConfig::new`]. It was once derived,
-/// which silently produced `max_resolve_rounds = 0` and
-/// `check_guidelines = false` — every `..Default::default()` call site
-/// skipped indirect-target resolution and guideline checking while the
+/// which silently produced `check_guidelines = false` — every
+/// `..Default::default()` call site skipped guideline checking while the
 /// documented defaults claimed otherwise.
 impl Default for AnalyzerConfig {
     fn default() -> AnalyzerConfig {
         AnalyzerConfig::new()
     }
 }
+
+/// Rounds of value-analysis-driven indirect-target resolution and CFG
+/// re-reconstruction.
+const MAX_RESOLVE_ROUNDS: usize = 3;
 
 /// Why a full analysis failed.
 #[derive(Debug)]
@@ -327,8 +326,9 @@ impl WcetAnalyzer {
     }
 
     /// The front end — decoding, reconstruction with value-analysis-driven
-    /// resolution rounds, front matter, guideline findings — followed by
-    /// the unit pipeline of [`Self::analyze_contexts`] at every depth.
+    /// resolution rounds, one [`FunctionArtifact`] per function, guideline
+    /// findings — followed by the unit pipeline of
+    /// [`Self::analyze_contexts`] at every depth.
     fn analyze_impl(
         &self,
         image: &Image,
@@ -357,7 +357,7 @@ impl WcetAnalyzer {
         let mut resolver = self.config.annotations.to_resolver();
         let mut program = reconstruct(image, &resolver)?;
         trace.unresolved_initial = program.unresolved_sites().len();
-        let mut phases_map: BTreeMap<Addr, FnPhase> = BTreeMap::new();
+        let mut fns: BTreeMap<Addr, FnResult> = BTreeMap::new();
         let mut summaries: Arc<Summaries> = Arc::default();
         let mut value_time = Duration::ZERO;
         let mut value_work = Duration::ZERO;
@@ -366,8 +366,7 @@ impl WcetAnalyzer {
         let tv = Instant::now();
         let base_entry = valueanalysis::entry_state_from_image(image);
         value_time += tv.elapsed();
-        let max_rounds = self.config.max_resolve_rounds.max(1);
-        for round in 0..max_rounds {
+        for round in 0..MAX_RESOLVE_ROUNDS {
             // Phase 3 runs inside the loop: value analysis may resolve
             // indirect targets, requiring re-reconstruction. Functions
             // are analyzed independently, so every round fans out flat —
@@ -377,42 +376,41 @@ impl WcetAnalyzer {
             // per round.
             let tv = Instant::now();
             summaries = Arc::new(valueanalysis::compute_summaries(&program));
-            let funcs: Vec<Addr> = program.functions.keys().copied().collect();
-            let mut keys: BTreeMap<Addr, u64> = BTreeMap::new();
-            let mut cold: Vec<Addr> = Vec::new();
-            phases_map = BTreeMap::new();
-            if let (Some(ctx), Some(store)) = (&key_ctx, cache.as_deref_mut()) {
-                for &f in &funcs {
-                    let cfg = program.cfg(f).expect("reconstructed");
-                    let key = ctx.function_key(cfg, &summaries);
-                    keys.insert(f, key);
-                    match store.lookup_fn(key) {
-                        Some(artifact) => {
-                            phases_map.insert(f, FnPhase::Warm { key, artifact });
-                        }
-                        None => cold.push(f),
+            fns = BTreeMap::new();
+            let mut cold: Vec<(Addr, Option<u64>)> = Vec::new();
+            for (&f, cfg) in &program.functions {
+                let key = key_ctx.map(|ctx| ctx.function_key(cfg, &summaries));
+                let stored = key
+                    .zip(cache.as_deref_mut())
+                    .and_then(|(key, store)| store.lookup_fn(key))
+                    .filter(|art| self.footprints_fit(art.footprints.as_ref()));
+                match stored {
+                    Some(art) => {
+                        fns.insert(
+                            f,
+                            FnResult {
+                                key,
+                                art,
+                                fresh: None,
+                            },
+                        );
                     }
+                    None => cold.push((f, key)),
                 }
-            } else {
-                cold.clone_from(&funcs);
             }
-            let (results, work) = pool.map_in_order(&cold, |&f| {
-                valueanalysis::analyze_cfg(
+            let (built, work) = pool.map_in_order(&cold, |&(f, _)| {
+                let fa = valueanalysis::analyze_cfg(
                     program.cfg(f).expect("reconstructed").clone(),
                     f,
                     base_entry.clone(),
                     AnalysisConfig::default(),
                     summaries.clone(),
-                )
-            });
-            for (&f, fa) in cold.iter().zip(results) {
-                phases_map.insert(
-                    f,
-                    FnPhase::Fresh {
-                        key: keys.get(&f).copied(),
-                        fa,
-                    },
                 );
+                (self.function_artifact(&fa), fa)
+            });
+            for ((f, key), (art, fa)) in cold.into_iter().zip(built) {
+                let fresh = Some(fa);
+                fns.insert(f, FnResult { key, art, fresh });
             }
             value_time += tv.elapsed();
             value_work += work;
@@ -422,26 +420,25 @@ impl WcetAnalyzer {
                 break;
             }
             let mut grew = false;
-            for phase in phases_map.values() {
-                let (calls, jumps) = phase.hints();
-                for (at, targets) in calls {
-                    if resolver.call_targets.get(&at) != Some(&targets) {
-                        resolver.add_call_targets(at, targets);
+            for art in fns.values().map(|r| &r.art) {
+                for (&at, targets) in &art.hint_calls {
+                    if resolver.call_targets.get(&at) != Some(targets) {
+                        resolver.add_call_targets(at, targets.iter().copied());
                         grew = true;
                     }
                 }
-                for (at, targets) in jumps {
-                    if resolver.jump_targets.get(&at) != Some(&targets) {
-                        resolver.add_jump_targets(at, targets);
+                for (&at, targets) in &art.hint_jumps {
+                    if resolver.jump_targets.get(&at) != Some(targets) {
+                        resolver.add_jump_targets(at, targets.iter().copied());
                         grew = true;
                     }
                 }
             }
             // Never reconstruct on the final round: every phase below
-            // reads the per-function phases, which must stay in sync with
-            // `program` (a new reconstruction could contain newly
+            // reads the per-function results, which must stay in sync
+            // with `program` (a new reconstruction could contain newly
             // reachable functions that were never analyzed).
-            if !grew || round + 1 == max_rounds {
+            if !grew || round + 1 == MAX_RESOLVE_ROUNDS {
                 break;
             }
             program = reconstruct(image, &resolver)?;
@@ -454,79 +451,26 @@ impl WcetAnalyzer {
         trace.phase_work_times[1] = trace.phase_times[1];
         trace.phase_times[2] = value_time;
         trace.phase_work_times[2] = value_work;
-
-        // --- Front matter: hints, findings, loop statistics -----------
-        // Captured per function over the un-peeled CFG; cached functions
-        // replay it from their artifacts.
-        let mut front: BTreeMap<Addr, FrontMatter> = BTreeMap::new();
-        for (&f, phase) in &phases_map {
-            let fm = match phase {
-                FnPhase::Fresh { fa, .. } => {
-                    let bounds = fa.loop_bounds();
-                    let loops_auto = bounds
-                        .results()
-                        .iter()
-                        .filter(|(_, r)| {
-                            matches!(
-                                r,
-                                BoundResult::Bounded {
-                                    source: BoundSource::Auto,
-                                    ..
-                                }
-                            )
-                        })
-                        .count();
-                    let (hint_calls, hint_jumps) = if key_ctx.is_some() {
-                        let hints = fa.resolver_hints();
-                        (
-                            hints.call_targets.into_iter().collect(),
-                            hints.jump_targets.into_iter().collect(),
-                        )
-                    } else {
-                        (BTreeMap::new(), BTreeMap::new())
-                    };
-                    FrontMatter {
-                        hint_calls,
-                        hint_jumps,
-                        findings: if self.config.check_guidelines {
-                            check_function(fa)
-                        } else {
-                            Vec::new()
-                        },
-                        loops_total: fa.forest().len(),
-                        loops_auto,
-                    }
-                }
-                FnPhase::Warm { artifact, .. } => FrontMatter {
-                    hint_calls: artifact.hint_calls.clone(),
-                    hint_jumps: artifact.hint_jumps.clone(),
-                    findings: artifact.findings.clone(),
-                    loops_total: artifact.loops_total,
-                    loops_auto: artifact.loops_auto,
-                },
-            };
-            trace.loops += fm.loops_total;
-            trace.loops_bounded_auto += fm.loops_auto;
-            front.insert(f, fm);
+        for r in fns.values() {
+            trace.loops += r.art.loops_total;
+            trace.loops_bounded_auto += r.art.loops_auto;
         }
 
         let callgraph = CallGraph::build(&program);
 
         // --- Guideline checking (report only) -------------------------
-        // Per-function findings come from the front matter (fresh or
-        // replayed); the image-level rules are recomputed every run. The
-        // composition and sort match `check_program` exactly.
-        let guideline_report = if self.config.check_guidelines {
-            let mut findings: Vec<Finding> = front
+        // Per-function findings come from the function artifacts; the
+        // image-level rules are recomputed every run. The composition and
+        // sort match `check_program` exactly.
+        let guideline_report = self.config.check_guidelines.then(|| {
+            let mut findings: Vec<Finding> = fns
                 .values()
-                .flat_map(|fm| fm.findings.iter().cloned())
+                .flat_map(|r| r.art.findings.iter().cloned())
                 .collect();
             findings.extend(check_image_level(image, &program, &callgraph));
             sort_findings(&mut findings);
-            Some(PredictabilityReport::new(findings))
-        } else {
-            None
-        };
+            PredictabilityReport::new(findings)
+        });
 
         // --- Recursion check ------------------------------------------
         // Recursive functions need a `recursion … depth N` annotation —
@@ -546,10 +490,9 @@ impl WcetAnalyzer {
         self.analyze_contexts(CtxPipeline {
             program,
             callgraph,
-            phases_map,
+            fns,
             summaries,
             base_entry,
-            front,
             guideline_report,
             trace,
             cache,
@@ -567,19 +510,17 @@ impl WcetAnalyzer {
 type Summaries = std::collections::HashMap<Addr, valueanalysis::FunctionSummary>;
 
 /// Everything the front end hands to the unit back end: the
-/// reconstructed program with its per-function phases and the inputs
-/// they were analyzed under, the report sections that are
-/// context-oblivious (front matter, guideline findings), and the
-/// incremental-cache plumbing.
+/// reconstructed program with one [`FnResult`] per function and the
+/// inputs they were analyzed under, the context-oblivious guideline
+/// report, and the incremental-cache plumbing.
 struct CtxPipeline<'a, 'c> {
     program: Program,
     callgraph: CallGraph,
-    phases_map: BTreeMap<Addr, FnPhase>,
+    fns: BTreeMap<Addr, FnResult>,
     /// The final round's callee summaries, shared with every unit.
     summaries: Arc<Summaries>,
     /// The image's ⊤ entry state (see `entry_state_from_image`).
     base_entry: AbstractState,
-    front: BTreeMap<Addr, FrontMatter>,
     guideline_report: Option<PredictabilityReport>,
     trace: PhaseTrace,
     cache: Option<&'c mut ArtifactCache>,
@@ -676,6 +617,11 @@ struct CtxOutcome {
     /// LP solver effort over the group's solves (replayed from the cache
     /// on a hit, so warm and cold traces match).
     lp: LpStats,
+    /// Served from the unit artifact's stored solution, not solved.
+    hit: bool,
+    /// A solution solved this run for the unit artifact to record (single
+    /// contexts of cache runs).
+    new_entry: Option<IpetEntry>,
 }
 
 /// One function's call sites priced with the joined transitive
@@ -728,10 +674,9 @@ impl WcetAnalyzer {
         let CtxPipeline {
             program,
             callgraph,
-            phases_map,
+            mut fns,
             summaries,
             base_entry,
-            front,
             guideline_report,
             mut trace,
             cache,
@@ -746,33 +691,16 @@ impl WcetAnalyzer {
         );
         let overrides = self.config.annotations.access_overrides();
         let levels = callgraph.bottom_up_levels();
-        let fn_keys: BTreeMap<Addr, Option<u64>> = phases_map
-            .iter()
-            .map(|(&f, phase)| {
-                let key = match phase {
-                    FnPhase::Fresh { key, .. } => *key,
-                    FnPhase::Warm { key, .. } => Some(*key),
-                };
-                (f, key)
-            })
-            .collect();
 
         // --- Footprint summaries (persistence runs only) ---------------
         // Bottom-up over the call graph, *before* the top-down cache
         // wavefront: every call site is priced with the joined transitive
         // footprint of its possible callees, so the per-context cache
-        // analysis ages the caller's ACS instead of clobbering it. Warm
-        // functions replay their own footprints from their artifacts
-        // (they have no fresh value analysis to derive them from).
-        let (footprints, own_footprints) = if self.config.persistence
-            && (self.config.machine.icache.is_some() || self.config.machine.dcache.is_some())
-        {
-            let (sites, own) =
-                self.compute_footprints(&program, &callgraph, &phases_map, &summaries, &base_entry);
-            (Some(sites), own)
-        } else {
-            (None, BTreeMap::new())
-        };
+        // analysis ages the caller's ACS instead of clobbering it.
+        let t3 = Instant::now();
+        let footprints = self
+            .tracks_footprints()
+            .then(|| self.compute_footprints(&program, &fns, &levels));
 
         // The callee component of every unit key (cache runs only): the
         // footprints each function's call sites are priced with.
@@ -801,7 +729,6 @@ impl WcetAnalyzer {
         // the cache holds one for its key and is analyzed otherwise.
         // Merges land in ctx-id order, so the report is thread-count
         // independent.
-        let t3 = Instant::now();
         let mut ctx_work = Duration::ZERO;
         let mut units: BTreeMap<CtxId, CtxUnit> = BTreeMap::new();
         let mut analyzed_cfgs: BTreeMap<Addr, Cfg> = BTreeMap::new();
@@ -838,7 +765,8 @@ impl WcetAnalyzer {
                 .collect();
             let (results, work) = pool.map_in_order(&inputs, |input| {
                 let f = contexts.info(input.id).function;
-                let key = fn_keys[&f].zip(top_digest).map(|(fn_key, top)| {
+                let fn_result = &fns[&f];
+                let key = fn_result.key.zip(top_digest).map(|(fn_key, top)| {
                     let footprint = footprint_digests.get(&f).copied().unwrap_or(0);
                     unit_key(fn_key, input.digest(top), footprint)
                 });
@@ -852,10 +780,10 @@ impl WcetAnalyzer {
                 // A context entered at the ⊤ state runs exactly the
                 // phase-3 fixpoint (same CFG, entry state, summaries):
                 // reuse it rather than recompute it.
-                let phase3 = match (&input.entry_state, &phases_map[&f]) {
-                    (None, FnPhase::Fresh { fa, .. }) => Some(fa),
-                    _ => None,
-                };
+                let phase3 = fn_result
+                    .fresh
+                    .as_ref()
+                    .filter(|_| input.entry_state.is_none());
                 (self.analyze_ctx_unit(input, key, f, phase3, &env), false)
             });
             ctx_work += work;
@@ -866,7 +794,10 @@ impl WcetAnalyzer {
                     stats.units_analyzed += 1;
                 }
                 let f = contexts.info(input.id).function;
-                if unit.out.peeled && !analyzed_cfgs.contains_key(&f) {
+                let reconstructed = program.cfg(f).expect("reconstructed");
+                if unit.cfg.block_count() != reconstructed.block_count()
+                    && !analyzed_cfgs.contains_key(&f)
+                {
                     // Peeling is pure CFG surgery: every context of `f`
                     // derives the same expanded CFG.
                     analyzed_cfgs.insert(f, unit.cfg.clone());
@@ -890,13 +821,10 @@ impl WcetAnalyzer {
         trace.phase_times[3] = t3.elapsed();
         trace.phase_work_times[3] = ctx_work;
         // The phase-3 analyses, per-block states included, are dead from
-        // here on: keep the replayed artifacts (`None`: analyzed fresh).
-        let replayed: BTreeMap<Addr, Option<FunctionArtifact>> = phases_map
-            .into_iter()
-            .map(|(f, phase)| match phase {
-                FnPhase::Fresh { .. } => (f, None),
-                FnPhase::Warm { artifact, .. } => (f, Some(artifact)),
-            })
+        // here on; the fresh functions' artifacts are stored after phase 5.
+        let changed: BTreeSet<Addr> = fns
+            .iter_mut()
+            .filter_map(|(&f, r)| r.fresh.take().map(|_| f))
             .collect();
 
         // --- Dirtiness (a statistic) -----------------------------------
@@ -904,13 +832,8 @@ impl WcetAnalyzer {
         // address, so nothing here gates a cache lookup; the count only
         // reports the cone a change can reach.
         if key_ctx.is_some() {
-            let changed: BTreeSet<Addr> = replayed
-                .iter()
-                .filter(|(_, artifact)| artifact.is_none())
-                .map(|(&f, _)| f)
-                .collect();
-            stats.functions = replayed.len();
-            stats.fn_hits = replayed.len() - changed.len();
+            stats.functions = fns.len();
+            stats.fn_hits = fns.len() - changed.len();
             stats.fn_misses = changed.len();
             stats.dirty = callgraph.transitive_callers(&changed).len();
         }
@@ -977,70 +900,12 @@ impl WcetAnalyzer {
                         groups.push(CtxGroup::Scc(group.clone()));
                     }
                 }
-                // Coordinator pass: price every Single context's call
-                // sites once (the solvers reuse the vector) and serve
-                // the solutions its unit artifact carries.
-                let mut served: Vec<Option<CtxOutcome>> = Vec::new();
-                served.resize_with(groups.len(), || None);
-                let mut to_solve: Vec<usize> = Vec::new();
-                let mut full_keys: BTreeMap<usize, u64> = BTreeMap::new();
-                let mut priced: BTreeMap<usize, Vec<(Addr, u64, u64)>> = BTreeMap::new();
-                for (gi, group) in groups.iter().enumerate() {
-                    let single = match *group {
-                        CtxGroup::Single(ctx) => {
-                            let (costs, all_priced) = site_costs(
-                                &units[&ctx],
-                                ctx,
-                                &contexts,
-                                &wcet_costs,
-                                &bcet_costs,
-                                &[],
-                            );
-                            all_priced.then_some((ctx, costs))
-                        }
-                        CtxGroup::Scc(_) => None,
-                    };
-                    // SCCs, and contexts whose callee bound is still
-                    // missing (they error in the solver), solve unpriced.
-                    let Some((ctx, costs)) = single else {
-                        to_solve.push(gi);
-                        continue;
-                    };
-                    let unit = &units[&ctx];
-                    if let Some(key) = unit.key {
-                        // The unit key fixes the CFG, bounds, and block
-                        // times; the full key adds the mode and the site
-                        // costs. Together they cover every input of the
-                        // solve, so any hit is exact.
-                        let full_key =
-                            ipet_site_full_key(ipet_ctx_struct_key(key, mode.as_deref()), &costs);
-                        let stored = unit.out.solutions.get(mode);
-                        if let Some(entry) =
-                            stored.filter(|e| e.full_key == full_key && entry_fits(e, &unit.cfg))
-                        {
-                            stats.ipet_hits += 1;
-                            served[gi] = Some(CtxOutcome {
-                                reports: vec![(
-                                    ctx,
-                                    FunctionReport {
-                                        wcet: entry.wcet.clone(),
-                                        bcet: entry.bcet.clone(),
-                                    },
-                                )],
-                                lp: entry.lp,
-                            });
-                            continue;
-                        }
-                        full_keys.insert(gi, full_key);
-                    }
-                    priced.insert(gi, costs);
-                    to_solve.push(gi);
-                }
-                let (outcomes, work) = pool.map_in_order(&to_solve, |&gi| {
+                // Each group serves its unit's stored solution or solves;
+                // the coordinator only records new solutions and merges.
+                let (outcomes, work) = pool.map_in_order(&groups, |group| {
                     self.solve_ctx_group(
-                        &groups[gi],
-                        priced.get(&gi).map(Vec::as_slice),
-                        mode.as_deref(),
+                        group,
+                        mode,
                         &units,
                         &contexts,
                         &callgraph,
@@ -1049,29 +914,18 @@ impl WcetAnalyzer {
                     )
                 });
                 path_work += work;
-                stats.ipet_solves += to_solve.len();
-                for (&gi, outcome) in to_solve.iter().zip(outcomes) {
+                for (group, outcome) in groups.iter().zip(outcomes) {
                     let outcome = outcome?;
-                    if let (Some(&full_key), CtxGroup::Single(ctx)) =
-                        (full_keys.get(&gi), &groups[gi])
-                    {
+                    if outcome.hit {
+                        stats.ipet_hits += 1;
+                    } else {
+                        stats.ipet_solves += 1;
+                    }
+                    if let (Some(entry), CtxGroup::Single(ctx)) = (outcome.new_entry, group) {
                         let unit = units.get_mut(ctx).expect("every context has a unit");
-                        let (_, report) = &outcome.reports[0];
-                        unit.out.solutions.insert(
-                            mode.clone(),
-                            IpetEntry {
-                                full_key,
-                                wcet: report.wcet.clone(),
-                                bcet: report.bcet.clone(),
-                                lp: outcome.lp,
-                            },
-                        );
+                        unit.out.solutions.insert(mode.clone(), entry);
                         unit.unsaved = true;
                     }
-                    served[gi] = Some(outcome);
-                }
-                for outcome in served {
-                    let outcome = outcome.expect("every group served or solved");
                     trace.lp_pivots += outcome.lp.pivots;
                     trace.lp_refactorizations += outcome.lp.refactorizations;
                     trace.lp_presolve_removed += outcome.lp.presolve_removed;
@@ -1109,11 +963,11 @@ impl WcetAnalyzer {
             }
         }
 
-        // --- Store units: one file each, solutions included -------------
-        // Contexts with equal keys share one artifact; the first of them
-        // (in id order) speaks for it, so a warm run rewrites nothing
+        // --- Store: one file per unit and per fresh function ------------
+        // Contexts with equal keys share one unit artifact; the first of
+        // them (in id order) speaks for it, so a warm run rewrites nothing
         // unless that context re-analyzed or re-solved.
-        if let Some(store) = cache.as_deref() {
+        if let Some(store) = cache {
             let mut seen: BTreeSet<u64> = BTreeSet::new();
             for unit in units.values() {
                 if let Some(key) = unit.key.filter(|&k| seen.insert(k)) {
@@ -1122,40 +976,16 @@ impl WcetAnalyzer {
                     }
                 }
             }
+            for f in &changed {
+                let r = &fns[f];
+                let key = r
+                    .key
+                    .expect("keys are computed for every function under a cache");
+                store.store_fn(key, &r.art);
+            }
         }
         trace.phase_times[4] = t4.elapsed();
         trace.phase_work_times[4] = path_work;
-
-        // --- Store fresh function artifacts ----------------------------
-        // The context-oblivious front matter plus the own footprints;
-        // everything per-context lives in the unit artifacts.
-        if let (Some(_), Some(store)) = (&key_ctx, cache) {
-            for (&f, replayed) in &replayed {
-                let footprints = own_footprints.get(&f).cloned();
-                let artifact = match replayed {
-                    None => {
-                        let fm = &front[&f];
-                        FunctionArtifact {
-                            hint_calls: fm.hint_calls.clone(),
-                            hint_jumps: fm.hint_jumps.clone(),
-                            findings: fm.findings.clone(),
-                            loops_total: fm.loops_total,
-                            loops_auto: fm.loops_auto,
-                            footprints,
-                        }
-                    }
-                    // A warm artifact whose footprints had to be
-                    // recomputed is repaired in place.
-                    Some(artifact) if artifact.footprints != footprints => FunctionArtifact {
-                        footprints,
-                        ..artifact.clone()
-                    },
-                    Some(_) => continue,
-                };
-                let key = fn_keys[&f].expect("keys are computed for every function under a cache");
-                store.store_fn(key, &artifact);
-            }
-        }
 
         let entry_cfg = &units[&root_ctx].cfg;
         trace.ilp_vars = entry_cfg.edges().len() + entry_cfg.block_count() + 1;
@@ -1174,6 +1004,47 @@ impl WcetAnalyzer {
             program,
             incr: key_ctx.map(|_| stats),
         })
+    }
+
+    /// One function's artifact, built by the worker that ran its phase-3
+    /// value analysis `fa` (over the un-peeled CFG): resolver hints,
+    /// guideline findings (when checking), loop statistics, and own
+    /// footprints (when [`Self::tracks_footprints`]).
+    fn function_artifact(&self, fa: &FunctionAnalysis) -> FunctionArtifact {
+        let hints = fa.resolver_hints();
+        let loops_auto = fa
+            .loop_bounds()
+            .results()
+            .iter()
+            .filter(|(_, r)| {
+                matches!(
+                    r,
+                    BoundResult::Bounded {
+                        source: BoundSource::Auto,
+                        ..
+                    }
+                )
+            })
+            .count();
+        FunctionArtifact {
+            hint_calls: hints.call_targets.into_iter().collect(),
+            hint_jumps: hints.jump_targets.into_iter().collect(),
+            findings: if self.config.check_guidelines {
+                check_function(fa)
+            } else {
+                Vec::new()
+            },
+            loops_total: fa.forest().len(),
+            loops_auto,
+            footprints: self.tracks_footprints().then(|| self.own_footprints(fa)),
+        }
+    }
+
+    /// Whether calls are priced with callee footprints: persistence runs
+    /// on a machine with a cache.
+    fn tracks_footprints(&self) -> bool {
+        let machine = &self.config.machine;
+        self.config.persistence && (machine.icache.is_some() || machine.dcache.is_some())
     }
 
     /// A function's *own* cache footprints, from its CFG and abstract
@@ -1200,9 +1071,11 @@ impl WcetAnalyzer {
         }
     }
 
-    /// Does a (possibly replayed) footprint artifact describe exactly the
-    /// caches this run configures? A mismatch reads as a cache miss.
-    fn footprints_fit(&self, art: &FootprintArtifact) -> bool {
+    /// Does a (possibly replayed) artifact's footprint record fit this
+    /// run? Runs that track footprints need one describing exactly the
+    /// configured caches; every other run records none. A misfit reads
+    /// as a cache miss.
+    fn footprints_fit(&self, art: Option<&FootprintArtifact>) -> bool {
         let machine = &self.config.machine;
         let fits =
             |fp: &Option<CacheFootprint>, cc: &Option<wcet_isa::cache::CacheConfig>| match (fp, cc)
@@ -1211,70 +1084,47 @@ impl WcetAnalyzer {
                 (None, None) => true,
                 _ => false,
             };
-        fits(&art.icache, &machine.icache) && fits(&art.dcache, &machine.dcache)
+        match art {
+            Some(art) => {
+                self.tracks_footprints()
+                    && fits(&art.icache, &machine.icache)
+                    && fits(&art.dcache, &machine.dcache)
+            }
+            None => !self.tracks_footprints(),
+        }
     }
 
     /// Computes the per-caller, per-call-site callee footprints the
-    /// persistence analysis prices calls with, plus every function's own
-    /// footprints (for the function artifacts stored at the end):
+    /// persistence analysis prices calls with, from every function's own
+    /// footprints (recorded in its artifact):
     ///
-    /// 1. **own footprints** per function — fresh from each function's
-    ///    value analysis, or replayed from warm function artifacts
-    ///    (recomputed deterministically when an artifact lacks fitting
-    ///    ones, so warm runs stay byte-identical);
-    /// 2. **transitive closure** bottom-up over the call graph (a
-    ///    recursive SCC unions all of its members); functions with
+    /// 1. **transitive closure** bottom-up over the call graph's `levels`
+    ///    (a recursive SCC unions all of its members); functions with
     ///    unresolved call sites degrade to the all-`Any` footprint;
-    /// 3. **per-site joins** over each site's possible callees.
+    /// 2. **per-site joins** over each site's possible callees.
     fn compute_footprints(
         &self,
         program: &Program,
-        callgraph: &CallGraph,
-        phases_map: &BTreeMap<Addr, FnPhase>,
-        summaries: &Arc<Summaries>,
-        base_entry: &AbstractState,
-    ) -> (
-        BTreeMap<Addr, SiteFootprints>,
-        BTreeMap<Addr, FootprintArtifact>,
-    ) {
-        // Step 1: own footprints (replayed or fresh).
-        let mut own: BTreeMap<Addr, FootprintArtifact> = BTreeMap::new();
-        for (&f, phase) in phases_map {
-            let art = match phase {
-                FnPhase::Fresh { fa, .. } => self.own_footprints(fa),
-                FnPhase::Warm { artifact, .. } => {
-                    match artifact
-                        .footprints
-                        .clone()
-                        .filter(|a| self.footprints_fit(a))
-                    {
-                        Some(art) => art,
-                        // No fitting footprints: re-derive the value
-                        // analysis just for them. Slow but
-                        // deterministic — identical to a cold run.
-                        None => self.own_footprints(&valueanalysis::analyze_cfg(
-                            program.cfg(f).expect("reconstructed").clone(),
-                            f,
-                            base_entry.clone(),
-                            AnalysisConfig::default(),
-                            summaries.clone(),
-                        )),
-                    }
-                }
-            };
-            own.insert(f, art);
-        }
-
-        // Step 2: transitive closure, bottom-up (callees before callers;
+        fns: &BTreeMap<Addr, FnResult>,
+        levels: &[Vec<Vec<Addr>>],
+    ) -> BTreeMap<Addr, SiteFootprints> {
+        let own = |f: Addr| {
+            fns[&f]
+                .art
+                .footprints
+                .as_ref()
+                .expect("footprint-tracking runs record own footprints")
+        };
+        // Step 1: transitive closure, bottom-up (callees before callers;
         // groups within a level share no call edges).
         let mut trans: BTreeMap<Addr, FootprintArtifact> = BTreeMap::new();
-        for level in callgraph.bottom_up_levels() {
+        for level in levels {
             for group in level {
-                let mut acc = own[&group[0]].clone();
+                let mut acc = own(group[0]).clone();
                 for &f in group.iter().skip(1) {
-                    union_footprint_artifacts(&mut acc, &own[&f]);
+                    union_footprint_artifacts(&mut acc, own(f));
                 }
-                for &f in &group {
+                for &f in group {
                     let cfg = program.cfg(f).expect("reconstructed");
                     if !cfg.unresolved.is_empty() {
                         union_footprint_artifacts(&mut acc, &self.unknown_footprints());
@@ -1295,13 +1145,13 @@ impl WcetAnalyzer {
                         }
                     }
                 }
-                for &f in &group {
+                for &f in group {
                     trans.insert(f, acc.clone());
                 }
             }
         }
 
-        // Step 3: per-site joins.
+        // Step 2: per-site joins.
         let mut result: BTreeMap<Addr, SiteFootprints> = BTreeMap::new();
         for &f in program.functions.keys() {
             let cfg = program.cfg(f).expect("reconstructed");
@@ -1331,7 +1181,7 @@ impl WcetAnalyzer {
             }
             result.insert(f, sites);
         }
-        (result, own)
+        result
     }
 
     /// Analyzes one *(function, context)* unit of `f`: value analysis
@@ -1371,13 +1221,8 @@ impl WcetAnalyzer {
                 env.program.cfg(f).expect("reconstructed").clone(),
             )),
         };
-        let mut peeled_flag = false;
-        if self.config.unrolling {
-            let (peeled, _skipped) = wcet_cfg::unroll::peel_all(fa.cfg(), fa.forest());
-            if peeled.block_count() != fa.cfg().block_count() {
-                fa = Cow::Owned(value_analysis(peeled));
-                peeled_flag = true;
-            }
+        if let Some(peeled) = self.peeled(fa.cfg(), fa.forest()) {
+            fa = Cow::Owned(value_analysis(peeled));
         }
         let accesses = fa.access_values();
         let (icache, icache_calls) = match &machine.icache {
@@ -1434,7 +1279,6 @@ impl WcetAnalyzer {
             (times, None)
         };
         let out = UnitArtifact {
-            peeled: peeled_flag,
             bounds: fa.loop_bounds(),
             times,
             cache_summary: icache.as_ref().map(CacheAnalysis::summary4),
@@ -1463,29 +1307,34 @@ impl WcetAnalyzer {
         }
     }
 
+    /// The CFG virtual unrolling analyzes in place of `cfg`: its peeled
+    /// copy, when unrolling is on and peeling adds blocks. A pure function
+    /// of the CFG, so a replay re-derives exactly what the analysis used.
+    fn peeled(&self, cfg: &Cfg, forest: &LoopForest) -> Option<Cfg> {
+        if !self.config.unrolling {
+            return None;
+        }
+        let (peeled, _skipped) = wcet_cfg::unroll::peel_all(cfg, forest);
+        (peeled.block_count() != cfg.block_count()).then_some(peeled)
+    }
+
     /// Rebuilds a unit from its artifact against the re-derived CFG and
-    /// loop forest (the peeled pair when the artifact recorded a peel).
-    /// `None`, a miss, when the artifact does not fit: a peel that no
-    /// longer reproduces, a block or loop count that differs, a call-site
-    /// state for a site the CFG lacks, or a state family this
-    /// configuration does not track. The caller then analyzes the unit
-    /// and overwrites the file. Stored IPET solutions are checked when
-    /// used (`entry_fits`); a bad one only costs its re-solve.
+    /// loop forest (peeled as [`Self::peeled`] decides). `None`, a miss,
+    /// when the artifact does not fit: a block or loop count that
+    /// differs, a call-site state for a site the CFG lacks, or a state
+    /// family this configuration does not track. The caller then analyzes
+    /// the unit and overwrites the file. Stored IPET solutions are checked
+    /// when used (`entry_fits`); a bad one only costs its re-solve.
     fn replay_ctx_unit(&self, key: u64, out: UnitArtifact, orig: &Cfg) -> Option<CtxUnit> {
         let machine = &self.config.machine;
         let forest_of = |cfg: &Cfg| LoopForest::compute(cfg, &Dominators::compute(cfg));
-        let (cfg, forest) = if out.peeled {
-            if !self.config.unrolling {
-                return None;
+        let orig_forest = forest_of(orig);
+        let (cfg, forest) = match self.peeled(orig, &orig_forest) {
+            Some(peeled) => {
+                let forest = forest_of(&peeled);
+                (peeled, forest)
             }
-            let (peeled, _skipped) = wcet_cfg::unroll::peel_all(orig, &forest_of(orig));
-            if peeled.block_count() == orig.block_count() {
-                return None;
-            }
-            let forest = forest_of(&peeled);
-            (peeled, forest)
-        } else {
-            (orig.clone(), forest_of(orig))
+            None => (orig.clone(), orig_forest),
         };
         let results = out.bounds.results();
         let bounds_fit =
@@ -1520,22 +1369,24 @@ impl WcetAnalyzer {
     /// a recursive SCC processed jointly (its members need each other's
     /// per-activation body costs). Callee costs from every earlier level
     /// are complete in `wcet_costs`/`bcet_costs`; same-level groups share
-    /// no call edges, so nothing else is needed.
+    /// no call edges, so nothing else is needed. A single context serves
+    /// the solution its unit artifact stores for exactly these inputs,
+    /// and otherwise solves and hands back the new entry.
     #[allow(clippy::too_many_arguments)] // phase state, plumbed not stored
     fn solve_ctx_group(
         &self,
         group: &CtxGroup,
-        priced: Option<&[(Addr, u64, u64)]>,
-        mode: Option<&str>,
+        mode: &Option<String>,
         units: &BTreeMap<CtxId, CtxUnit>,
         contexts: &ContextTable,
         callgraph: &CallGraph,
         wcet_costs: &BTreeMap<CtxId, u64>,
         bcet_costs: &BTreeMap<CtxId, u64>,
     ) -> Result<CtxOutcome, AnalyzeError> {
+        // Sites left unpriced (a missing callee bound) make the solver
+        // surface `PathError::MissingCallee`.
         let solve_one = |ctx: CtxId,
-                         zero_members: &[Addr],
-                         priced: Option<&[(Addr, u64, u64)]>,
+                         costs: &[(Addr, u64, u64)],
                          lp: &mut LpStats|
          -> Result<FunctionReport, AnalyzeError> {
             let f = contexts.info(ctx).function;
@@ -1544,21 +1395,8 @@ impl WcetAnalyzer {
             let mut bounds = unit.out.bounds.clone();
             self.config
                 .annotations
-                .apply_loop_bounds(cfg, forest, &mut bounds, mode);
-            let facts = self.config.annotations.flow_facts(cfg, mode);
-            // The coordinator already priced this context's sites when it
-            // probed the cache; reuse its vector instead of re-deriving.
-            // Sites left unpriced (a missing callee bound) make the solver
-            // surface `PathError::MissingCallee`.
-            let derived;
-            let costs = match priced {
-                Some(costs) => costs,
-                None => {
-                    derived =
-                        site_costs(unit, ctx, contexts, wcet_costs, bcet_costs, zero_members).0;
-                    &derived
-                }
-            };
+                .apply_loop_bounds(cfg, forest, &mut bounds, mode.as_deref());
+            let facts = self.config.annotations.flow_facts(cfg, mode.as_deref());
             let (mut w_costs, mut b_costs) = (CallCosts::new(), CallCosts::new());
             for &(site, sw, sb) in costs {
                 w_costs.insert_site(site, sw);
@@ -1597,10 +1435,42 @@ impl WcetAnalyzer {
         let mut lp = LpStats::default();
         match group {
             CtxGroup::Single(ctx) => {
-                let report = solve_one(*ctx, &[], priced, &mut lp)?;
+                let unit = &units[ctx];
+                let (costs, all_priced) =
+                    site_costs(unit, *ctx, contexts, wcet_costs, bcet_costs, &[]);
+                // The unit key fixes the CFG, bounds, and block times; the
+                // full key adds the mode and the site costs. Together they
+                // cover every input of the solve, so any hit is exact.
+                let full_key = unit.key.filter(|_| all_priced).map(|key| {
+                    ipet_site_full_key(ipet_ctx_struct_key(key, mode.as_deref()), &costs)
+                });
+                let stored = unit.out.solutions.get(mode);
+                if let Some(entry) =
+                    stored.filter(|e| Some(e.full_key) == full_key && entry_fits(e, &unit.cfg))
+                {
+                    let report = FunctionReport {
+                        wcet: entry.wcet.clone(),
+                        bcet: entry.bcet.clone(),
+                    };
+                    return Ok(CtxOutcome {
+                        reports: vec![(*ctx, report)],
+                        lp: entry.lp,
+                        hit: true,
+                        new_entry: None,
+                    });
+                }
+                let report = solve_one(*ctx, &costs, &mut lp)?;
+                let new_entry = full_key.map(|full_key| IpetEntry {
+                    full_key,
+                    wcet: report.wcet.clone(),
+                    bcet: report.bcet.clone(),
+                    lp,
+                });
                 Ok(CtxOutcome {
                     reports: vec![(*ctx, report)],
                     lp,
+                    hit: false,
+                    new_entry,
                 })
             }
             CtxGroup::Scc(members) => {
@@ -1613,7 +1483,9 @@ impl WcetAnalyzer {
                 let mut reports: Vec<(CtxId, FunctionReport)> = Vec::with_capacity(members.len());
                 for &f in members {
                     let ctx = contexts.ctxs_of(f)[0];
-                    let report = solve_one(ctx, members, None, &mut lp)?;
+                    let (costs, _) =
+                        site_costs(&units[&ctx], ctx, contexts, wcet_costs, bcet_costs, members);
+                    let report = solve_one(ctx, &costs, &mut lp)?;
                     reports.push((ctx, report));
                 }
                 // Scale from a snapshot of the *raw* per-activation
@@ -1636,7 +1508,12 @@ impl WcetAnalyzer {
                     report.wcet.wcet_cycles = depth.saturating_mul(body_sum);
                     // One activation stays the sound lower bound.
                 }
-                Ok(CtxOutcome { reports, lp })
+                Ok(CtxOutcome {
+                    reports,
+                    lp,
+                    hit: false,
+                    new_entry: None,
+                })
             }
         }
     }
@@ -1788,64 +1665,16 @@ fn site_costs(
     (priced, all_priced)
 }
 
-/// `(site, targets)` hint pairs for one kind of indirection.
-type TargetPairs = Vec<(Addr, Vec<Addr>)>;
-
-/// One function's state after the resolution rounds: freshly analyzed, or
-/// replayed from the artifact cache.
-enum FnPhase {
-    /// Computed this run (stored into the cache at the end).
-    Fresh {
-        /// Content key under the current reconstruction (cache runs only).
-        key: Option<u64>,
-        /// The value analysis result.
-        fa: FunctionAnalysis,
-    },
-    /// Served from the cache.
-    Warm {
-        /// Content key the artifact was found under.
-        key: u64,
-        /// The replayed artifact.
-        artifact: FunctionArtifact,
-    },
-}
-
-impl FnPhase {
-    /// Indirect-target hints for the resolution loop, as sorted pairs.
-    fn hints(&self) -> (TargetPairs, TargetPairs) {
-        match self {
-            FnPhase::Fresh { fa, .. } => {
-                let hints = fa.resolver_hints();
-                (
-                    hints.call_targets.into_iter().collect(),
-                    hints.jump_targets.into_iter().collect(),
-                )
-            }
-            FnPhase::Warm { artifact, .. } => (
-                artifact
-                    .hint_calls
-                    .iter()
-                    .map(|(a, t)| (*a, t.clone()))
-                    .collect(),
-                artifact
-                    .hint_jumps
-                    .iter()
-                    .map(|(a, t)| (*a, t.clone()))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-/// Per-function results captured before virtual unrolling: resolver
-/// hints, guideline findings, and loop statistics (all over the un-peeled
-/// CFG).
-struct FrontMatter {
-    hint_calls: BTreeMap<Addr, Vec<Addr>>,
-    hint_jumps: BTreeMap<Addr, Vec<Addr>>,
-    findings: Vec<Finding>,
-    loops_total: usize,
-    loops_auto: usize,
+/// One function after the resolution rounds: its artifact, replayed from
+/// the store or built by the worker that ran its value analysis. Every
+/// later consumer reads the artifact alone.
+struct FnResult {
+    /// Content key under the final reconstruction (cache runs only).
+    key: Option<u64>,
+    art: FunctionArtifact,
+    /// The phase-3 value analysis, when the function was analyzed this
+    /// run: units entered at ⊤ reuse it. Dropped after the unit wavefront.
+    fresh: Option<FunctionAnalysis>,
 }
 
 /// Cheap structural validation of a cached IPET solution against the CFG
@@ -1872,15 +1701,13 @@ mod tests {
 
     #[test]
     fn default_config_equals_new() {
-        // Regression: `#[derive(Default)]` produced `max_resolve_rounds =
-        // 0` and `check_guidelines = false`, so `..Default::default()`
-        // call sites silently skipped indirect-target resolution and
+        // Regression: `#[derive(Default)]` produced `check_guidelines =
+        // false`, so `..Default::default()` call sites silently skipped
         // guideline checking. Field-by-field, then wholesale.
         let derived = AnalyzerConfig::default();
         let documented = AnalyzerConfig::new();
         assert_eq!(derived.machine, documented.machine);
         assert_eq!(derived.annotations, documented.annotations);
-        assert_eq!(derived.max_resolve_rounds, documented.max_resolve_rounds);
         assert_eq!(derived.check_guidelines, documented.check_guidelines);
         assert_eq!(derived.unrolling, documented.unrolling);
         assert_eq!(derived.parallelism, documented.parallelism);
@@ -1889,7 +1716,6 @@ mod tests {
         assert_eq!(derived.pipeline, documented.pipeline);
         assert_eq!(derived, documented);
         // The documented defaults really are in force.
-        assert_eq!(derived.max_resolve_rounds, 3);
         assert!(derived.check_guidelines);
         assert_eq!(
             derived.context_depth, 0,
@@ -2192,7 +2018,7 @@ mod tests {
 
         let warm = analyzer.analyze_incremental(&image, &mut cache).unwrap();
         let warm_stats = warm.incr.clone().unwrap();
-        assert_eq!(warm_stats.fn_hits, 2, "both functions replay front matter");
+        assert_eq!(warm_stats.fn_hits, 2, "both function artifacts hit");
         assert_eq!(warm_stats.dirty, 0);
         assert_eq!(
             warm_stats.ipet_solves, 0,

@@ -736,7 +736,6 @@ fn analyzer_for(
         persistence: case.persistence,
         pipeline: case.pipeline,
         isa,
-        ..AnalyzerConfig::new()
     })
 }
 

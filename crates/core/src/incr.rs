@@ -9,7 +9,8 @@
 //!
 //! * **Function artifacts** (`fn/<key>.art`) — resolver hints, guideline
 //!   findings, loop statistics, and (persistence runs) the function's own
-//!   cache footprints: everything the context-oblivious front end reads.
+//!   cache footprints: everything the analyzer reads of a function's
+//!   phase-3 value analysis, whether it ran this run or not.
 //!   Keyed by [`function_key`]: a stable hash of the function's
 //!   reconstructed CFG (raw instruction words *and* resolved
 //!   terminators), the image's initialized data, the callees'
@@ -92,7 +93,10 @@ use crate::analyzer::AnalyzerConfig;
 /// carries its own per-mode IPET solutions (the `ipet/` kind is retired),
 /// function artifacts shrink to the front matter and own footprints, and
 /// a unit's first-miss column is stored only when it is nonzero.
-pub(crate) const CACHE_VERSION: u32 = 9;
+/// Version 10: unit artifacts drop the peel flag (peeling is re-derived
+/// from the CFG), and the config fingerprint drops the resolve-round
+/// count, now a constant.
+pub(crate) const CACHE_VERSION: u32 = 10;
 
 /// Magic prefix of every artifact file.
 const MAGIC: &[u8; 4] = b"WCAC";
@@ -116,7 +120,6 @@ pub fn config_fingerprint(config: &AnalyzerConfig) -> u64 {
     // field is added.
     h.write_str(&format!("{:?}", config.machine));
     h.write_str(&format!("{:?}", config.annotations));
-    h.write_u64(config.max_resolve_rounds as u64);
     h.write_u64(u64::from(config.check_guidelines));
     h.write_u64(u64::from(config.unrolling));
     h.write_u64(config.context_depth as u64);
@@ -340,12 +343,10 @@ pub struct FootprintArtifact {
 /// its callees' entry states exactly as a fresh one would; at depth 0
 /// nothing propagates and those maps stay empty. Bounds, times, site
 /// keys, and solutions refer to the *analyzed* CFG (the peeled copy when
-/// `peeled` is set); the analyzer re-derives that CFG and validates the
-/// artifact against it before trusting anything.
+/// virtual unrolling expands the function); the analyzer re-derives that
+/// CFG and validates the artifact against it before trusting anything.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitArtifact {
-    /// Whether virtual unrolling changed the CFG.
-    pub peeled: bool,
     /// Automatic loop bounds over the analyzed CFG's forest.
     pub bounds: LoopBounds,
     /// Per-block WCET/BCET cycles and first-miss penalties.
@@ -1242,7 +1243,6 @@ fn decode_cache_calls(
 
 fn encode_unit_artifact(a: &UnitArtifact) -> Vec<u8> {
     let mut e = enc(b'U');
-    e.bool(a.peeled);
     e.usize(a.bounds.results().len());
     for (id, result) in a.bounds.results() {
         e.usize(id.0);
@@ -1289,7 +1289,6 @@ fn decode_unit_artifact(bytes: &[u8], machine: &MachineConfig) -> Option<UnitArt
 }
 
 fn decode_unit_payload(mut d: Reader<'_>, machine: &MachineConfig) -> Option<UnitArtifact> {
-    let peeled = d.bool()?;
     let n_bounds = d.length()?;
     let mut bounds = Vec::with_capacity(n_bounds.min(1024));
     for _ in 0..n_bounds {
@@ -1320,7 +1319,6 @@ fn decode_unit_payload(mut d: Reader<'_>, machine: &MachineConfig) -> Option<Uni
     };
     let solutions = decode_solutions(&mut d)?;
     d.done().then_some(UnitArtifact {
-        peeled,
         bounds: LoopBounds::from_results(bounds),
         times,
         cache_summary,
@@ -1405,7 +1403,6 @@ mod tests {
             },
         };
         UnitArtifact {
-            peeled: true,
             bounds: LoopBounds::from_results(vec![
                 (
                     LoopId(0),

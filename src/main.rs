@@ -200,7 +200,10 @@ fn run(args: Vec<String>) -> Result<(), String> {
         eprintln!("wcet: {stats}{}", lp_stats_suffix(&report));
     }
 
-    print!("{}", compose_report(&image, &report, opts.check_only));
+    print!(
+        "{}",
+        render::render_report(&image, &report, opts.check_only)
+    );
     if opts.check_only && report.guidelines.is_some() {
         return Ok(());
     }
@@ -289,7 +292,10 @@ fn run_batch(manifest_path: &str, opts: &CliOptions) -> Result<(), String> {
 
             requests += 1;
             println!("── batch: {program} ──");
-            print!("{}", render::render_report(&image, &report));
+            print!(
+                "{}",
+                render::render_report(&image, &report, opts.check_only)
+            );
             println!();
             if let Some(stats) = &report.incr {
                 eprintln!("wcet: {program}: {stats}{}", lp_stats_suffix(&report));
@@ -501,23 +507,6 @@ fn analyze_one(
     Ok((report, machine))
 }
 
-/// Renders one analysis exactly as single-shot `wcet` prints it to
-/// stdout — guideline findings, blank separator, analysis body (stopping
-/// after the findings under `--check-only`). The serve handler returns
-/// this same composition, which is what makes serve responses
-/// byte-identical to single-shot runs.
-fn compose_report(image: &Image, report: &AnalysisReport, check_only: bool) -> String {
-    let mut out = render::render_guidelines(report);
-    if report.guidelines.is_some() {
-        out.push('\n');
-        if check_only {
-            return out;
-        }
-    }
-    out.push_str(&render::render_analysis(image, report));
-    out
-}
-
 /// Parses a byte-size argument: a plain byte count, or binary-unit
 /// suffixes `k`, `m`, `g` (case-insensitive), e.g. `64m` = 64 MiB.
 fn parse_byte_size(raw: &str) -> Result<u64, String> {
@@ -581,7 +570,7 @@ fn build_service(opts: &CliOptions) -> Result<AnalysisService, String> {
                 }
             }
         }
-        Ok(compose_report(&image, &report, opts.check_only))
+        Ok(render::render_report(&image, &report, opts.check_only))
     };
     Ok(AnalysisService::new(fingerprint, Box::new(handler)))
 }

@@ -77,17 +77,21 @@ pub fn render_analysis(image: &Image, report: &AnalysisReport) -> String {
     out
 }
 
-/// The full report rendering: guidelines (if any) followed by the
-/// analysis section — exactly what `wcet <program.s>` prints to stdout.
-/// Timings inside the phase trace are real clocks; golden tests zero
-/// `report.trace.phase_times`/`phase_work_times` before rendering.
+/// The full report rendering: guidelines (if any), a blank separator,
+/// then the analysis section — exactly what `wcet <program.s>`, `wcet
+/// batch`, and `wcet serve` print per program. `check_only` stops after
+/// the findings when there are any. Timings inside the phase trace are
+/// real clocks; golden tests zero `report.trace.phase_times`/
+/// `phase_work_times` before rendering.
 #[must_use]
-pub fn render_report(image: &Image, report: &AnalysisReport) -> String {
-    let guidelines = render_guidelines(report);
-    let analysis = render_analysis(image, report);
-    if guidelines.is_empty() {
-        analysis
-    } else {
-        format!("{guidelines}\n{analysis}")
+pub fn render_report(image: &Image, report: &AnalysisReport, check_only: bool) -> String {
+    let mut out = render_guidelines(report);
+    if report.guidelines.is_some() {
+        out.push('\n');
+        if check_only {
+            return out;
+        }
     }
+    out.push_str(&render_analysis(image, report));
+    out
 }

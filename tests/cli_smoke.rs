@@ -257,6 +257,37 @@ fn batch_mode_analyzes_a_manifest_against_a_shared_cache() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--check-only` stops every front end after the guideline findings:
+/// batch mode prints them without the analysis section, as single-shot
+/// runs and serve responses do.
+#[test]
+fn batch_check_only_prints_findings_without_the_analysis() {
+    let dir = std::env::temp_dir().join(format!("wcet-cli-check-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(
+        dir.join("counter.s"),
+        ".org 0x1000\nmain:\n li r1, 12\nloop:\n subi r1, r1, 1\n bne r1, r0, loop\n halt\n",
+    )
+    .expect("write counter");
+    std::fs::write(dir.join("requests.txt"), "counter.s\n").expect("write manifest");
+
+    let out = wcet(&[
+        "batch",
+        dir.join("requests.txt").to_str().unwrap(),
+        "--check-only",
+    ]);
+    assert!(out.status.success(), "batch run exits 0: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        stdout.contains("── guideline check ──"),
+        "findings:\n{stdout}"
+    );
+    assert!(!stdout.contains("── analysis ──"), "no analysis:\n{stdout}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The annotation-free corpus workloads through the binary: the
 /// call-tree and context workloads analyze end to end from their
 /// assembly sources, and `--context-depth 1` prints a strictly smaller

@@ -38,7 +38,7 @@ fn canonical_report(w: &Workload) -> String {
     report.trace.phase_work_times = Default::default();
     let mut out = String::new();
     let _ = writeln!(out, "# workload: {} — {}", w.name, w.description);
-    out.push_str(&render::render_report(&w.image, &report));
+    out.push_str(&render::render_report(&w.image, &report, false));
     out
 }
 

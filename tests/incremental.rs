@@ -8,8 +8,9 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
+use wcet_predictability::analysis::valueanalysis::compute_summaries;
 use wcet_predictability::core::analyzer::{AnalysisReport, AnalyzerConfig, WcetAnalyzer};
-use wcet_predictability::core::incr::ArtifactCache;
+use wcet_predictability::core::incr::{ArtifactCache, KeyContext};
 use wcet_predictability::core::workload;
 use wcet_predictability::isa::cache::CacheConfig;
 use wcet_predictability::isa::interp::MachineConfig;
@@ -481,4 +482,52 @@ fn damaged_unit_solutions_re_solve_and_heal() {
         assert_eq!(stats.ipet_solves, 0, "depth {depth}: healed: {stats:?}");
         assert_eq!(canonical(healed), reference);
     }
+}
+
+/// A stored function artifact whose footprints do not fit the run — here
+/// none at all, on a persistence run over a cached machine — is a miss:
+/// the function is analyzed afresh, the report equals the cold one, and
+/// the store ends up holding the artifact with its footprints again.
+#[test]
+fn function_artifact_without_footprints_misses_and_heals() {
+    let w = workload::call_fanout_with(4, &[]);
+    let config = AnalyzerConfig {
+        machine: MachineConfig::with_caches(),
+        persistence: true,
+        ..AnalyzerConfig::new()
+    };
+    let analyzer = WcetAnalyzer::with_config(config.clone());
+    let tmp = TempCache::new("fn-footprints");
+    let cold = analyzer
+        .analyze_incremental(&w.image, &mut tmp.open())
+        .expect("cold run");
+    let n = cold.incr.as_ref().expect("stats present").functions;
+    let victim = *cold.program.functions.keys().last().expect("a function");
+    let key = KeyContext::new(&w.image, &config).function_key(
+        cold.program.cfg(victim).expect("reconstructed"),
+        &compute_summaries(&cold.program),
+    );
+    let reference = canonical(cold);
+
+    let mut cache = tmp.open();
+    let mut artifact = cache.lookup_fn(key).expect("the cold run stored it");
+    assert!(
+        artifact.footprints.is_some(),
+        "persistence runs record them"
+    );
+    artifact.footprints = None;
+    cache.store_fn(key, &artifact);
+
+    let warm = analyzer
+        .analyze_incremental(&w.image, &mut tmp.open())
+        .expect("warm run");
+    let stats = warm.incr.clone().expect("stats present");
+    assert_eq!((stats.fn_hits, stats.functions), (n - 1, n), "{stats:?}");
+    assert_eq!(canonical(warm), reference, "warm = cold");
+
+    let healed = tmp.open().lookup_fn(key).expect("re-stored");
+    assert!(
+        healed.footprints.is_some(),
+        "the store holds the footprints"
+    );
 }
