@@ -1,6 +1,7 @@
 //! The complete aiT-style analyzer (Figure 1 end to end).
 
 use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -30,7 +31,7 @@ use wcet_path::ipet::{self, CallCosts, LpStats, PathError, WcetResult};
 
 use crate::incr::{
     ipet_ctx_struct_key, ipet_site_full_key, unit_key, ArtifactCache, FootprintArtifact,
-    FunctionArtifact, IncrStats, IpetEntry, KeyContext, UnitArtifact,
+    FunctionArtifact, FunctionFile, IncrStats, IpetEntry, KeyContext, StoredUnits, UnitArtifact,
 };
 use crate::parallel::{self, WorkerPool};
 use crate::phases::PhaseTrace;
@@ -332,7 +333,7 @@ impl WcetAnalyzer {
     fn analyze_impl(
         &self,
         image: &Image,
-        mut cache: Option<&mut ArtifactCache>,
+        cache: Option<&ArtifactCache>,
     ) -> Result<AnalysisReport, AnalyzeError> {
         let mut trace = PhaseTrace::default();
         let owned_pool;
@@ -369,49 +370,44 @@ impl WcetAnalyzer {
         for round in 0..MAX_RESOLVE_ROUNDS {
             // Phase 3 runs inside the loop: value analysis may resolve
             // indirect targets, requiring re-reconstruction. Functions
-            // are analyzed independently, so every round fans out flat —
-            // after cached functions are peeled off on the coordinator.
-            // The whole-program input (callee write summaries, read by
-            // the value analysis and the function keys) is built once
-            // per round.
+            // are analyzed independently, so every round fans out flat:
+            // each worker keys its function, then serves the stored file
+            // or runs the value analysis. The whole-program input (callee
+            // write summaries, read by the value analysis and the
+            // function keys) is built once per round.
             let tv = Instant::now();
             summaries = Arc::new(valueanalysis::compute_summaries(&program));
-            fns = BTreeMap::new();
-            let mut cold: Vec<(Addr, Option<u64>)> = Vec::new();
-            for (&f, cfg) in &program.functions {
+            let functions: Vec<(Addr, &Cfg)> =
+                program.functions.iter().map(|(&f, cfg)| (f, cfg)).collect();
+            let (results, work) = pool.map_in_order(&functions, |&(f, cfg)| {
                 let key = key_ctx.map(|ctx| ctx.function_key(cfg, &summaries));
                 let stored = key
-                    .zip(cache.as_deref_mut())
+                    .zip(cache)
                     .and_then(|(key, store)| store.lookup_fn(key))
-                    .filter(|art| self.footprints_fit(art.footprints.as_ref()));
-                match stored {
-                    Some(art) => {
-                        fns.insert(
-                            f,
-                            FnResult {
-                                key,
-                                art,
-                                fresh: None,
-                            },
-                        );
-                    }
-                    None => cold.push((f, key)),
+                    .filter(|file| self.footprints_fit(file.art.footprints.as_ref()));
+                if let Some(FunctionFile { art, units }) = stored {
+                    return FnResult {
+                        key,
+                        art,
+                        units,
+                        fresh: None,
+                    };
                 }
-            }
-            let (built, work) = pool.map_in_order(&cold, |&(f, _)| {
                 let fa = valueanalysis::analyze_cfg(
-                    program.cfg(f).expect("reconstructed").clone(),
+                    cfg.clone(),
                     f,
                     base_entry.clone(),
                     AnalysisConfig::default(),
                     summaries.clone(),
                 );
-                (self.function_artifact(&fa), fa)
+                FnResult {
+                    key,
+                    art: self.function_artifact(&fa),
+                    units: StoredUnits::default(),
+                    fresh: Some(fa),
+                }
             });
-            for ((f, key), (art, fa)) in cold.into_iter().zip(built) {
-                let fresh = Some(fa);
-                fns.insert(f, FnResult { key, art, fresh });
-            }
+            fns = functions.iter().map(|&(f, _)| f).zip(results).collect();
             value_time += tv.elapsed();
             value_work += work;
             trace.resolve_rounds = round + 1;
@@ -513,7 +509,7 @@ type Summaries = std::collections::HashMap<Addr, valueanalysis::FunctionSummary>
 /// reconstructed program with one [`FnResult`] per function and the
 /// inputs they were analyzed under, the context-oblivious guideline
 /// report, and the incremental-cache plumbing.
-struct CtxPipeline<'a, 'c> {
+struct CtxPipeline<'a> {
     program: Program,
     callgraph: CallGraph,
     fns: BTreeMap<Addr, FnResult>,
@@ -523,7 +519,7 @@ struct CtxPipeline<'a, 'c> {
     base_entry: AbstractState,
     guideline_report: Option<PredictabilityReport>,
     trace: PhaseTrace,
-    cache: Option<&'c mut ArtifactCache>,
+    cache: Option<&'a ArtifactCache>,
     key_ctx: Option<KeyContext>,
     pool: &'a WorkerPool,
 }
@@ -541,10 +537,9 @@ struct UnitEnv<'a> {
     propagate: bool,
 }
 
-/// Coordinator-computed inputs of one *(function, context)* unit: the
-/// joined entry states from the producing call edges.
+/// The entry inputs of one *(function, context)* unit: the joined entry
+/// states from the producing call edges.
 struct CtxInput {
-    id: CtxId,
     /// The joined value state; `None` is the image's ⊤ entry state — no
     /// producer state to join, which is every context at depth 0.
     entry_state: Option<AbstractState>,
@@ -670,7 +665,7 @@ impl WcetAnalyzer {
     /// system per unit bottom-up with per-call-site callee costs. Reports
     /// merge per function by max (WCET) / min (BCET); the task headline
     /// numbers come from the entry function's root context.
-    fn analyze_contexts(&self, p: CtxPipeline<'_, '_>) -> Result<AnalysisReport, AnalyzeError> {
+    fn analyze_contexts(&self, p: CtxPipeline<'_>) -> Result<AnalysisReport, AnalyzeError> {
         let CtxPipeline {
             program,
             callgraph,
@@ -725,14 +720,14 @@ impl WcetAnalyzer {
         // earlier wave than the contexts it produces, so entry states
         // join over already-analyzed (or replayed) units; at depth 0
         // nothing propagates and every unit joins one wave. Units within
-        // a wave fan out in parallel: each replays its unit artifact when
-        // the cache holds one for its key and is analyzed otherwise.
-        // Merges land in ctx-id order, so the report is thread-count
-        // independent.
+        // a wave fan out in parallel: each worker joins its context's
+        // entry states from earlier waves, keys the unit, and replays it
+        // from its function's stored units when they hold its key or
+        // analyzes it otherwise — no store I/O. Merges land in ctx-id
+        // order, so the report is thread-count independent.
         let mut ctx_work = Duration::ZERO;
         let mut units: BTreeMap<CtxId, CtxUnit> = BTreeMap::new();
         let mut analyzed_cfgs: BTreeMap<Addr, Cfg> = BTreeMap::new();
-        let store: Option<&ArtifactCache> = cache.as_deref();
         let waves: Vec<Vec<CtxId>> = if env.propagate {
             levels
                 .iter()
@@ -749,29 +744,24 @@ impl WcetAnalyzer {
             vec![contexts.iter().map(|(id, _)| id).collect()]
         };
         for wave in &waves {
-            let inputs: Vec<CtxInput> = wave
-                .iter()
-                .map(|&id| {
-                    ctx_entry_input(
-                        id,
-                        &contexts,
-                        &callgraph,
-                        &units,
-                        &self.config.machine,
-                        program.entry,
-                        self.config.pipeline,
-                    )
-                })
-                .collect();
-            let (results, work) = pool.map_in_order(&inputs, |input| {
-                let f = contexts.info(input.id).function;
+            let (results, work) = pool.map_in_order(wave, |&id| {
+                let input = ctx_entry_input(
+                    id,
+                    &contexts,
+                    &callgraph,
+                    &units,
+                    &self.config.machine,
+                    program.entry,
+                    self.config.pipeline,
+                );
+                let f = contexts.info(id).function;
                 let fn_result = &fns[&f];
                 let key = fn_result.key.zip(top_digest).map(|(fn_key, top)| {
                     let footprint = footprint_digests.get(&f).copied().unwrap_or(0);
                     unit_key(fn_key, input.digest(top), footprint)
                 });
-                let replayed = key.zip(store).and_then(|(key, store)| {
-                    let artifact = store.lookup_unit(key, &self.config.machine)?;
+                let replayed = key.and_then(|key| {
+                    let artifact = fn_result.units.get(key, &self.config.machine)?;
                     self.replay_ctx_unit(key, artifact, program.cfg(f).expect("reconstructed"))
                 });
                 if let Some(unit) = replayed {
@@ -784,16 +774,16 @@ impl WcetAnalyzer {
                     .fresh
                     .as_ref()
                     .filter(|_| input.entry_state.is_none());
-                (self.analyze_ctx_unit(input, key, f, phase3, &env), false)
+                (self.analyze_ctx_unit(&input, key, f, phase3, &env), false)
             });
             ctx_work += work;
-            for (input, (unit, replayed)) in inputs.into_iter().zip(results) {
+            for (&id, (unit, replayed)) in wave.iter().zip(results) {
                 if replayed {
                     stats.units_replayed += 1;
                 } else {
                     stats.units_analyzed += 1;
                 }
-                let f = contexts.info(input.id).function;
+                let f = contexts.info(id).function;
                 let reconstructed = program.cfg(f).expect("reconstructed");
                 if unit.cfg.block_count() != reconstructed.block_count()
                     && !analyzed_cfgs.contains_key(&f)
@@ -802,7 +792,7 @@ impl WcetAnalyzer {
                     // derives the same expanded CFG.
                     analyzed_cfgs.insert(f, unit.cfg.clone());
                 }
-                units.insert(input.id, unit);
+                units.insert(id, unit);
             }
         }
         for unit in units.values() {
@@ -963,25 +953,30 @@ impl WcetAnalyzer {
             }
         }
 
-        // --- Store: one file per unit and per fresh function ------------
-        // Contexts with equal keys share one unit artifact; the first of
-        // them (in id order) speaks for it, so a warm run rewrites nothing
-        // unless that context re-analyzed or re-solved.
+        // --- Store: one file per changed function ----------------------
+        // A function's file holds its front matter and this run's units
+        // under their distinct keys. Contexts with equal keys share one
+        // unit; the first of them (in id order) speaks for it, so a warm
+        // run rewrites a file only when its function was analyzed or a
+        // speaking unit was analyzed or gained a solution.
         if let Some(store) = cache {
-            let mut seen: BTreeSet<u64> = BTreeSet::new();
-            for unit in units.values() {
-                if let Some(key) = unit.key.filter(|&k| seen.insert(k)) {
-                    if unit.unsaved {
-                        store.store_unit(key, &unit.out);
+            for (f, r) in &fns {
+                let mut rewrite = changed.contains(f);
+                let mut stored: BTreeMap<u64, &UnitArtifact> = BTreeMap::new();
+                for ctx in contexts.ctxs_of(*f) {
+                    let unit = &units[ctx];
+                    let key = unit.key.expect("units are keyed under a cache");
+                    if let Entry::Vacant(slot) = stored.entry(key) {
+                        slot.insert(&unit.out);
+                        rewrite |= unit.unsaved;
                     }
                 }
-            }
-            for f in &changed {
-                let r = &fns[f];
-                let key = r
-                    .key
-                    .expect("keys are computed for every function under a cache");
-                store.store_fn(key, &r.art);
+                if rewrite {
+                    let fn_key = r
+                        .key
+                        .expect("keys are computed for every function under a cache");
+                    store.store_fn(fn_key, &r.art, &stored);
+                }
             }
         }
         trace.phase_times[4] = t4.elapsed();
@@ -1519,15 +1514,15 @@ impl WcetAnalyzer {
     }
 }
 
-/// Computes the entry inputs of one context on the coordinator: at depth
-/// ≥ 1, the join of the producing callers' pre-call value states, ACS
-/// pairs, and pipes. Recursive functions, functions without resolved
-/// producers, and every context at depth 0 (where nothing propagates)
-/// enter at the ⊤ image entry state — sound for any call path. Their
-/// cache entries fall back to [`CacheStates::unknown`], not cold: only
-/// the task activation genuinely starts on a cold machine, and a cold
-/// fallback would classify entry fetches always-miss — an unsound BCET
-/// when a real caller already warmed the lines.
+/// Computes the entry inputs of one context from the units of earlier
+/// waves: at depth ≥ 1, the join of the producing callers' pre-call
+/// value states, ACS pairs, and pipes. Recursive functions, functions
+/// without resolved producers, and every context at depth 0 (where
+/// nothing propagates) enter at the ⊤ image entry state — sound for any
+/// call path. Their cache entries fall back to [`CacheStates::unknown`],
+/// not cold: only the task activation genuinely starts on a cold
+/// machine, and a cold fallback would classify entry fetches always-miss
+/// — an unsound BCET when a real caller already warmed the lines.
 fn ctx_entry_input(
     id: CtxId,
     contexts: &ContextTable,
@@ -1605,7 +1600,6 @@ fn ctx_entry_input(
         })
     });
     CtxInput {
-        id,
         entry_state: state,
         icache_entry,
         dcache_entry,
@@ -1672,6 +1666,9 @@ struct FnResult {
     /// Content key under the final reconstruction (cache runs only).
     key: Option<u64>,
     art: FunctionArtifact,
+    /// The units its stored file holds (none when the file missed): each
+    /// is decoded by the phase-4 worker of a context whose key it carries.
+    units: StoredUnits,
     /// The phase-3 value analysis, when the function was analyzed this
     /// run: units entered at ⊤ reuse it. Dropped after the unit wavefront.
     fresh: Option<FunctionAnalysis>,

@@ -5,31 +5,35 @@
 //! which one or two functions changed. Re-running value analysis, block
 //! timing, and IPET over every unchanged function is the dominant waste.
 //! This module caches, per function, everything the pipeline derives from
-//! the function's content:
+//! the function's content, in one file per function (`fn/<key>.art`):
 //!
-//! * **Function artifacts** (`fn/<key>.art`) — resolver hints, guideline
-//!   findings, loop statistics, and (persistence runs) the function's own
-//!   cache footprints: everything the analyzer reads of a function's
-//!   phase-3 value analysis, whether it ran this run or not.
-//!   Keyed by [`function_key`]: a stable hash of the function's
-//!   reconstructed CFG (raw instruction words *and* resolved
+//! * **The front matter** ([`FunctionArtifact`]) — resolver hints,
+//!   guideline findings, loop statistics, and (persistence runs) the
+//!   function's own cache footprints: everything the analyzer reads of a
+//!   function's phase-3 value analysis, whether it ran this run or not.
+//!   The file is keyed by [`function_key`]: a stable hash of the
+//!   function's reconstructed CFG (raw instruction words *and* resolved
 //!   terminators), the image's initialized data, the callees'
 //!   may-write-memory summaries, and the [`config_fingerprint`].
 //!   Everything the value analysis reads is in the key, so a hit replays
 //!   the exact artifact a fresh run would compute.
-//! * **Unit artifacts** (`unit/<key>.unt`) — one per *(function,
-//!   context)* unit at every context depth (depth 0 has one unit per
-//!   function): loop bounds, block times, the cache summary, the
-//!   per-call-site states the unit hands its callees (depth ≥ 1 only),
-//!   and the unit's IPET solutions per mode. Keyed by [`unit_key`]: the
-//!   function key, the context's entry-state digest, and the callee
-//!   footprints its call sites are priced with — every input of the
-//!   unit's value, cache, and pipeline analyses. Each stored solution
-//!   carries its full key ([`ipet_site_full_key`] over
+//! * **The units** ([`UnitArtifact`]) — one per distinct *(function,
+//!   context)* unit key of the last successful run that wrote the file
+//!   (depth 0 has one unit per function): loop bounds, block times, the
+//!   cache summary, the per-call-site states the unit hands its callees
+//!   (depth ≥ 1 only), and the unit's IPET solutions per mode. Each sits
+//!   under its [`unit_key`]: the function key, the context's entry-state
+//!   digest, and the callee footprints its call sites are priced with —
+//!   every input of the unit's value, cache, and pipeline analyses. Each
+//!   stored solution carries its full key ([`ipet_site_full_key`] over
 //!   [`ipet_ctx_struct_key`]), which adds the per-site callee costs: a
 //!   callee whose bound changed misses on the full key and re-solves, so
 //!   dirtiness propagates caller-ward through content addressing and no
 //!   dirtiness gate is needed.
+//!
+//! A lookup verifies the whole file and decodes the front matter; the
+//! units stay encoded in the held bytes ([`StoredUnits`]) until the worker
+//! that replays one decodes it.
 //!
 //! Soundness stance: a cache hit must be byte-identical to a fresh run.
 //! That holds because every input of the cached computation is hashed
@@ -43,8 +47,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use wcet_analysis::loopbound::{BoundResult, BoundSource, LoopBounds, UnboundedReason};
 use wcet_analysis::state::AbstractState;
@@ -96,7 +101,11 @@ use crate::analyzer::AnalyzerConfig;
 /// Version 10: unit artifacts drop the peel flag (peeling is re-derived
 /// from the CFG), and the config fingerprint drops the resolve-round
 /// count, now a constant.
-pub(crate) const CACHE_VERSION: u32 = 10;
+/// Version 11: one artifact file per function — the `unit/` kind is
+/// retired and each function file carries the units of the last run that
+/// wrote it, so a cold run writes one file per function and a warm one
+/// reads one.
+pub(crate) const CACHE_VERSION: u32 = 11;
 
 /// Magic prefix of every artifact file.
 const MAGIC: &[u8; 4] = b"WCAC";
@@ -337,8 +346,8 @@ pub struct FootprintArtifact {
 }
 
 /// Everything one *(function, context)* unit's value, cache, pipeline,
-/// and path analyses produce that later phases (or runs) read, stored as
-/// `unit/<key>.unt` under its [`unit_key`]. At context depth ≥ 1 it
+/// and path analyses produce that later phases (or runs) read, stored in
+/// its function's file under its [`unit_key`]. At context depth ≥ 1 it
 /// carries the outgoing per-call-site states, so a replayed caller feeds
 /// its callees' entry states exactly as a fresh one would; at depth 0
 /// nothing propagates and those maps stay empty. Bounds, times, site
@@ -380,6 +389,43 @@ pub struct IpetEntry {
     /// Solver effort of the two solves, replayed into the phase trace on
     /// a hit so warm and cold runs render identical statistics.
     pub lp: LpStats,
+}
+
+/// One verified function file: the front matter, decoded, and the units
+/// of the last run that wrote it, still encoded.
+#[derive(Debug)]
+pub struct FunctionFile {
+    /// The function's front matter.
+    pub art: FunctionArtifact,
+    /// The stored units, decoded one at a time where they are used.
+    pub units: StoredUnits,
+}
+
+/// The units of one function file, indexed by [`unit_key`] over the
+/// verified file bytes. Nothing is decoded until a unit is asked for, so
+/// holding a file costs its bytes once however many contexts replay it.
+#[derive(Debug, Default)]
+pub struct StoredUnits {
+    bytes: Arc<[u8]>,
+    /// Each unit's payload range within `bytes`.
+    index: BTreeMap<u64, Range<usize>>,
+}
+
+impl StoredUnits {
+    /// The stored unit keys, in ascending order.
+    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.index.keys().copied()
+    }
+
+    /// Decodes the unit stored under `key`. Decoding checks that every
+    /// recorded cache state has exactly the geometry `machine`
+    /// configures; anything else is a miss. The caller must still
+    /// validate the artifact against the unit's analyzed CFG.
+    #[must_use]
+    pub fn get(&self, key: u64, machine: &MachineConfig) -> Option<UnitArtifact> {
+        let range = self.index.get(&key)?.clone();
+        decode_unit(Reader::new(&self.bytes[range]), machine)
+    }
 }
 
 /// Per-run incremental statistics, attached to the report when a cache
@@ -437,13 +483,13 @@ impl fmt::Display for IncrStats {
 #[derive(Debug)]
 pub struct ArtifactCache {
     root: PathBuf,
-    mem_fn: HashMap<u64, FunctionArtifact>,
-    /// Unit artifacts seen by this instance, as their encoded bytes: a
-    /// repeat lookup (`wcet batch`, a reused cache) decodes from memory
-    /// instead of disk, while the compact encoding keeps the run's peak
-    /// memory near that of holding no copy at all. Behind a lock because
-    /// the analyzer's workers look units up concurrently.
-    mem_unit: Mutex<HashMap<u64, Arc<[u8]>>>,
+    /// Function files seen by this instance, as their verified bytes: a
+    /// repeat lookup (a later resolution round, `wcet batch`, a reused
+    /// cache) decodes from memory instead of disk, while the compact
+    /// encoding keeps the run's peak memory near that of holding no copy
+    /// at all. Behind a lock because the analyzer's workers look files up
+    /// concurrently.
+    held: Mutex<HashMap<u64, Arc<[u8]>>>,
 }
 
 impl ArtifactCache {
@@ -453,23 +499,20 @@ impl ArtifactCache {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors creating the artifact subdirectories.
+    /// Propagates filesystem errors creating the artifact subdirectory.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<ArtifactCache> {
         let root = root.into();
-        for kind in Self::KINDS {
-            fs::create_dir_all(root.join(kind))?;
-        }
+        fs::create_dir_all(root.join("fn"))?;
         let cache = ArtifactCache {
             root,
-            mem_fn: HashMap::new(),
-            mem_unit: Mutex::default(),
+            held: Mutex::default(),
         };
         // Sweep each store at most once per process: the serve daemon
         // opens the cache once per request, and re-listing a large
-        // store's directories every time would dwarf the analysis it
+        // store's directory every time would dwarf the analysis it
         // fronts. `gc` sweeps unconditionally. Best-effort: an
-        // unreadable subdirectory degrades to no sweep, exactly like
-        // an unwritable store degrades to in-memory.
+        // unreadable directory degrades to no sweep, exactly like an
+        // unwritable store degrades to in-memory.
         static SWEPT_ROOTS: std::sync::OnceLock<
             std::sync::Mutex<std::collections::HashSet<PathBuf>>,
         > = std::sync::OnceLock::new();
@@ -489,77 +532,52 @@ impl ArtifactCache {
         &self.root
     }
 
+    fn fn_dir(&self) -> PathBuf {
+        self.root.join("fn")
+    }
+
     fn fn_path(&self, key: u64) -> PathBuf {
-        self.root.join("fn").join(format!("{key:016x}.art"))
+        self.fn_dir().join(format!("{key:016x}.art"))
     }
 
-    /// Looks up a function artifact by content key.
-    pub fn lookup_fn(&mut self, key: u64) -> Option<FunctionArtifact> {
-        if let Some(a) = self.mem_fn.get(&key) {
-            return Some(a.clone());
-        }
-        let path = self.fn_path(key);
-        let bytes = fs::read(&path).ok()?;
-        let artifact = decode_fn_artifact(&bytes)?;
-        touch_for_lru(&path);
-        self.mem_fn.insert(key, artifact.clone());
-        Some(artifact)
+    /// The held files. A poisoned lock only means a worker panicked
+    /// mid-lookup; the map itself is always consistent.
+    fn held(&self) -> MutexGuard<'_, HashMap<u64, Arc<[u8]>>> {
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Stores a function artifact (idempotent; best-effort on disk — an
-    /// unwritable cache degrades to in-memory for this process).
-    pub fn store_fn(&mut self, key: u64, artifact: &FunctionArtifact) {
-        // Overwrite-on-difference, not skip-on-presence: after a
-        // corrupted artifact was looked up (and rejected downstream), the
-        // recomputed artifact must replace the bad bytes on disk.
-        if self.mem_fn.get(&key) == Some(artifact) {
-            return;
-        }
-        let _ = write_atomically(&self.fn_path(key), &encode_fn_artifact(artifact));
-        self.mem_fn.insert(key, artifact.clone());
-    }
-
-    fn unit_path(&self, key: u64) -> PathBuf {
-        self.root.join("unit").join(format!("{key:016x}.unt"))
-    }
-
-    /// The in-memory unit layer. A poisoned lock only means a worker
-    /// panicked mid-lookup; the map itself is always consistent.
-    fn mem_units(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<[u8]>>> {
-        self.mem_unit
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Looks up a unit artifact by [`unit_key`]. Decoding checks that
-    /// every recorded cache state has exactly the geometry `machine`
-    /// configures; anything else is a miss. The caller must still
-    /// validate the artifact against the unit's analyzed CFG.
+    /// Looks up a function file by content key: `None` unless the whole
+    /// file verifies and its front matter and unit index decode.
     #[must_use]
-    pub fn lookup_unit(&self, key: u64, machine: &MachineConfig) -> Option<UnitArtifact> {
-        let held = self.mem_units().get(&key).cloned();
+    pub fn lookup_fn(&self, key: u64) -> Option<FunctionFile> {
+        let held = self.held().get(&key).cloned();
         if let Some(bytes) = held {
             // Held bytes were sealed here or verified on their way in.
-            return decode_unit_payload(dec_verified(&bytes, b'U')?, machine);
+            return decode_fn_file(bytes);
         }
-        let path = self.unit_path(key);
-        let bytes = fs::read(&path).ok()?;
-        let artifact = decode_unit_artifact(&bytes, machine)?;
+        let path = self.fn_path(key);
+        let bytes: Arc<[u8]> = fs::read(&path).ok()?.into();
+        verify(&bytes)?;
+        let file = decode_fn_file(Arc::clone(&bytes))?;
         touch_for_lru(&path);
-        self.mem_units().insert(key, bytes.into());
-        Some(artifact)
+        self.held().insert(key, bytes);
+        Some(file)
     }
 
-    /// Stores (or overwrites) a unit artifact; best-effort on disk, like
-    /// [`ArtifactCache::store_fn`], and skipped when this instance
-    /// already holds the identical bytes.
-    pub fn store_unit(&self, key: u64, artifact: &UnitArtifact) {
-        let bytes: Arc<[u8]> = encode_unit_artifact(artifact).into();
-        if self.mem_units().get(&key) == Some(&bytes) {
+    /// Stores (or overwrites) a function file: the front matter and the
+    /// units under their keys. Best-effort on disk — an unwritable cache
+    /// degrades to in-memory for this process — and skipped when this
+    /// instance already holds the identical bytes.
+    pub fn store_fn(&self, key: u64, art: &FunctionArtifact, units: &BTreeMap<u64, &UnitArtifact>) {
+        // Overwrite-on-difference, not skip-on-presence: after a
+        // corrupted file was looked up (and rejected downstream), the
+        // recomputed file must replace the bad bytes on disk.
+        let bytes: Arc<[u8]> = encode_fn_file(art, units).into();
+        if self.held().get(&key) == Some(&bytes) {
             return;
         }
-        let _ = write_atomically(&self.unit_path(key), &bytes);
-        self.mem_units().insert(key, bytes);
+        let _ = write_atomically(&self.fn_path(key), &bytes);
+        self.held().insert(key, bytes);
     }
 }
 
@@ -570,7 +588,7 @@ impl ArtifactCache {
 /// What one [`ArtifactCache::gc`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
-    /// Artifact files found across every artifact subdirectory.
+    /// Function files found in the store.
     pub scanned: usize,
     /// Their total size before eviction.
     pub bytes_before: u64,
@@ -594,11 +612,6 @@ impl fmt::Display for GcStats {
 }
 
 impl ArtifactCache {
-    /// The artifact subdirectories, in deterministic order.
-    const KINDS: [&'static str; 2] = ["fn", "unit"];
-    /// The artifact file extension of each of [`Self::KINDS`].
-    const EXTENSIONS: [&'static str; 2] = ["art", "unt"];
-
     /// Removes temp files left behind by crashed or killed writers.
     ///
     /// A live writer's temp file exists only for the instant between
@@ -616,36 +629,34 @@ impl ArtifactCache {
     /// (a concurrent sweep won the race) are ignored.
     pub fn sweep_stale_tmp(&self) -> io::Result<usize> {
         let mut swept = 0;
-        for kind in Self::KINDS {
-            let dir = self.root.join(kind);
-            for entry in fs::read_dir(&dir)? {
-                let entry = entry?;
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                let Some(suffix) = name.split_once(".tmp.").map(|(_, s)| s) else {
-                    continue;
-                };
-                // `<pid>` (legacy) or `<pid>.<seq>`.
-                let pid = suffix.split('.').next().and_then(|p| p.parse::<u32>().ok());
-                let stale = match pid {
-                    Some(pid) if pid == std::process::id() => false,
-                    Some(pid) => match pid_is_live(pid) {
-                        Some(live) => !live,
-                        None => older_than_an_hour(&entry),
-                    },
-                    // Unparseable suffix: not ours, not anyone's.
-                    None => true,
-                };
-                if stale && fs::remove_file(entry.path()).is_ok() {
-                    swept += 1;
-                }
+        for entry in fs::read_dir(self.fn_dir())? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let Some(name) = name.to_str() else { continue };
+            let Some(suffix) = name.split_once(".tmp.").map(|(_, s)| s) else {
+                continue;
+            };
+            // `<pid>` (legacy) or `<pid>.<seq>`.
+            let pid = suffix.split('.').next().and_then(|p| p.parse::<u32>().ok());
+            let stale = match pid {
+                Some(pid) if pid == std::process::id() => false,
+                Some(pid) => match pid_is_live(pid) {
+                    Some(live) => !live,
+                    None => older_than_an_hour(&entry),
+                },
+                // Unparseable suffix: not ours, not anyone's.
+                None => true,
+            };
+            if stale && fs::remove_file(entry.path()).is_ok() {
+                swept += 1;
             }
         }
         Ok(swept)
     }
 
-    /// Evicts least-recently-used artifacts until the store fits under
-    /// `max_bytes`, sweeping stale temp files first.
+    /// Evicts least-recently-used function files — each with its units —
+    /// until the store fits under `max_bytes`, sweeping stale temp files
+    /// first.
     ///
     /// The LRU stamp is the file's modification time: stores write it,
     /// and disk lookups bump it (see `touch_for_lru`), so `mtime` is a
@@ -675,27 +686,22 @@ impl ArtifactCache {
             tmp_swept: self.sweep_stale_tmp().unwrap_or(0),
             ..GcStats::default()
         };
-        // (mtime, path, size, kind, key) — path is the deterministic
-        // tiebreak for identical stamps.
-        let mut files: Vec<(std::time::SystemTime, PathBuf, u64, usize, Option<u64>)> = Vec::new();
-        for (ki, kind) in Self::KINDS.iter().enumerate() {
-            let dir = self.root.join(kind);
-            for entry in fs::read_dir(&dir)? {
-                let entry = entry?;
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                let expected_ext = Self::EXTENSIONS[ki];
-                let Some(stem) = name.strip_suffix(&format!(".{expected_ext}")) else {
-                    continue;
-                };
-                let Ok(meta) = entry.metadata() else { continue };
-                if !meta.is_file() {
-                    continue;
-                }
-                let stamp = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-                let key = u64::from_str_radix(stem, 16).ok();
-                files.push((stamp, entry.path(), meta.len(), ki, key));
+        // (mtime, path, size, key) — path is the deterministic tiebreak
+        // for identical stamps.
+        let mut files: Vec<(std::time::SystemTime, PathBuf, u64, Option<u64>)> = Vec::new();
+        for entry in fs::read_dir(self.fn_dir())? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".art")) else {
+                continue;
+            };
+            let Ok(meta) = entry.metadata() else { continue };
+            if !meta.is_file() {
+                continue;
             }
+            let stamp = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
+            let key = u64::from_str_radix(stem, 16).ok();
+            files.push((stamp, entry.path(), meta.len(), key));
         }
         stats.scanned = files.len();
         stats.bytes_before = files.iter().map(|f| f.2).sum();
@@ -705,7 +711,7 @@ impl ArtifactCache {
         }
         let low_watermark = max_bytes / 4 * 3;
         files.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        for (_, path, size, kind, key) in files {
+        for (_, path, size, key) in files {
             if stats.bytes_after <= low_watermark {
                 break;
             }
@@ -715,14 +721,7 @@ impl ArtifactCache {
             stats.bytes_after = stats.bytes_after.saturating_sub(size);
             stats.evicted += 1;
             if let Some(key) = key {
-                match Self::KINDS[kind] {
-                    "fn" => {
-                        self.mem_fn.remove(&key);
-                    }
-                    _ => {
-                        self.mem_units().remove(&key);
-                    }
-                }
+                self.held().remove(&key);
             }
         }
         Ok(stats)
@@ -736,13 +735,10 @@ impl ArtifactCache {
     /// Propagates directory-listing failures.
     pub fn disk_bytes(&self) -> io::Result<u64> {
         let mut total = 0;
-        for kind in Self::KINDS {
-            for entry in fs::read_dir(self.root.join(kind))? {
-                let entry = entry?;
-                if let Ok(meta) = entry.metadata() {
-                    if meta.is_file() {
-                        total += meta.len();
-                    }
+        for entry in fs::read_dir(self.fn_dir())? {
+            if let Ok(meta) = entry?.metadata() {
+                if meta.is_file() {
+                    total += meta.len();
                 }
             }
         }
@@ -827,16 +823,7 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
 // Codec
 // ---------------------------------------------------------------------
 
-/// Starts an artifact of one kind: magic, cache version, kind byte.
-fn enc(kind: u8) -> Writer {
-    let mut w = Writer::new();
-    w.bytes(MAGIC);
-    w.u32(CACHE_VERSION);
-    w.u8(kind);
-    w
-}
-
-/// Appends the payload digest and yields the final bytes. Structural
+/// Appends the file digest and yields the final bytes. Structural
 /// validation alone cannot catch a bit flip that leaves lengths and
 /// invariants intact but changes a cycle count — the checksum turns
 /// *any* corruption into a decode failure, i.e. a cache miss.
@@ -847,27 +834,12 @@ fn seal(w: Writer) -> Vec<u8> {
     buf
 }
 
-/// Opens a sealed artifact of `kind` for decoding: `None` unless the
-/// payload digest, magic, version, and kind byte all check out.
-fn dec(bytes: &[u8], kind: u8) -> Option<Reader<'_>> {
-    // Verify the trailing payload digest first: flipped bits anywhere
-    // in the body must read as a miss, never as data.
+/// Checks the trailing digest of untrusted bytes: flipped bits anywhere
+/// in the body must read as a miss, never as data.
+fn verify(bytes: &[u8]) -> Option<()> {
     let tail = bytes.len().checked_sub(8)?;
     let digest = u64::from_le_bytes(bytes[tail..].try_into().ok()?);
-    if wcet_isa::hash::hash_bytes(&bytes[..tail]) != digest {
-        return None;
-    }
-    dec_verified(bytes, kind)
-}
-
-/// [`dec`] for bytes whose digest was already verified (or that this
-/// process sealed itself): checks only the header.
-fn dec_verified(bytes: &[u8], kind: u8) -> Option<Reader<'_>> {
-    let mut d = Reader::new(&bytes[..bytes.len().checked_sub(8)?]);
-    if d.take(4)? != MAGIC.as_slice() || d.u32()? != CACHE_VERSION || d.u8()? != kind {
-        return None;
-    }
-    Some(d)
+    (wcet_isa::hash::hash_bytes(&bytes[..tail]) == digest).then_some(())
 }
 
 fn encode_addr_map(e: &mut Writer, map: &BTreeMap<Addr, Vec<Addr>>) {
@@ -964,8 +936,13 @@ fn bound_from_bytes(d: &mut Reader<'_>) -> Option<BoundResult> {
     }
 }
 
-fn encode_fn_artifact(a: &FunctionArtifact) -> Vec<u8> {
-    let mut e = enc(b'F');
+/// A function file: magic and cache version, the front matter, the unit
+/// count, then per unit its key, payload length, and payload, sealed by
+/// one digest over the whole file.
+fn encode_fn_file(a: &FunctionArtifact, units: &BTreeMap<u64, &UnitArtifact>) -> Vec<u8> {
+    let mut e = Writer::new();
+    e.bytes(MAGIC);
+    e.u32(CACHE_VERSION);
     encode_addr_map(&mut e, &a.hint_calls);
     encode_addr_map(&mut e, &a.hint_jumps);
     e.usize(a.findings.len());
@@ -998,11 +975,25 @@ fn encode_fn_artifact(a: &FunctionArtifact) -> Vec<u8> {
         }
         None => e.u8(0),
     }
+    e.usize(units.len());
+    for (&key, unit) in units {
+        let mut payload = Writer::new();
+        encode_unit(&mut payload, unit);
+        e.u64(key);
+        e.usize(payload.as_bytes().len());
+        e.bytes(payload.as_bytes());
+    }
     seal(e)
 }
 
-fn decode_fn_artifact(bytes: &[u8]) -> Option<FunctionArtifact> {
-    let mut d = dec(bytes, b'F')?;
+/// Decodes the front matter of verified (or self-sealed) file bytes and
+/// indexes their units; `None` unless the header, the front matter, and
+/// the unit framing all check out.
+fn decode_fn_file(bytes: Arc<[u8]>) -> Option<FunctionFile> {
+    let mut d = Reader::new(&bytes[..bytes.len().checked_sub(8)?]);
+    if d.take(4)? != MAGIC.as_slice() || d.u32()? != CACHE_VERSION {
+        return None;
+    }
     let hint_calls = decode_addr_map(&mut d)?;
     let hint_jumps = decode_addr_map(&mut d)?;
     let n_findings = d.length()?;
@@ -1041,13 +1032,31 @@ fn decode_fn_artifact(bytes: &[u8]) -> Option<FunctionArtifact> {
         }
         _ => return None,
     };
-    d.done().then_some(FunctionArtifact {
+    let n_units = d.length()?;
+    let mut index = BTreeMap::new();
+    for _ in 0..n_units {
+        let key = d.u64()?;
+        let len = d.length()?;
+        let start = d.position();
+        d.take(len)?;
+        if index.insert(key, start..start + len).is_some() {
+            return None;
+        }
+    }
+    if !d.done() {
+        return None;
+    }
+    let art = FunctionArtifact {
         hint_calls,
         hint_jumps,
         findings,
         loops_total,
         loops_auto,
         footprints,
+    };
+    Some(FunctionFile {
+        art,
+        units: StoredUnits { bytes, index },
     })
 }
 
@@ -1241,12 +1250,12 @@ fn decode_cache_calls(
     }
 }
 
-fn encode_unit_artifact(a: &UnitArtifact) -> Vec<u8> {
-    let mut e = enc(b'U');
+/// One unit's payload within its function file.
+fn encode_unit(e: &mut Writer, a: &UnitArtifact) {
     e.usize(a.bounds.results().len());
     for (id, result) in a.bounds.results() {
         e.usize(id.0);
-        bound_to_bytes(&mut e, result);
+        bound_to_bytes(e, result);
     }
     // The first-miss column is all zero without persistence: stored
     // only when something in it is not.
@@ -1270,25 +1279,21 @@ fn encode_unit_artifact(a: &UnitArtifact) -> Vec<u8> {
         }
         None => e.u8(0),
     }
-    encode_site_map(&mut e, &a.pre_call, AbstractState::encode_into);
-    encode_cache_calls(&mut e, a.icache_calls.as_ref());
-    encode_cache_calls(&mut e, a.dcache_calls.as_ref());
+    encode_site_map(e, &a.pre_call, AbstractState::encode_into);
+    encode_cache_calls(e, a.icache_calls.as_ref());
+    encode_cache_calls(e, a.dcache_calls.as_ref());
     match &a.pipeline_calls {
         Some(map) => {
             e.u8(1);
-            encode_site_map(&mut e, map, PipelineStates::encode_into);
+            encode_site_map(e, map, PipelineStates::encode_into);
         }
         None => e.u8(0),
     }
-    encode_solutions(&mut e, &a.solutions);
-    seal(e)
+    encode_solutions(e, &a.solutions);
 }
 
-fn decode_unit_artifact(bytes: &[u8], machine: &MachineConfig) -> Option<UnitArtifact> {
-    decode_unit_payload(dec(bytes, b'U')?, machine)
-}
-
-fn decode_unit_payload(mut d: Reader<'_>, machine: &MachineConfig) -> Option<UnitArtifact> {
+/// Decodes one unit payload; `None` unless it is consumed exactly.
+fn decode_unit(mut d: Reader<'_>, machine: &MachineConfig) -> Option<UnitArtifact> {
     let n_bounds = d.length()?;
     let mut bounds = Vec::with_capacity(n_bounds.min(1024));
     for _ in 0..n_bounds {
@@ -1436,95 +1441,96 @@ mod tests {
         }
     }
 
+    /// Reads file bytes back the way a disk lookup does.
+    fn read_back(bytes: &[u8]) -> Option<FunctionFile> {
+        verify(bytes)?;
+        decode_fn_file(bytes.into())
+    }
+
+    fn no_units() -> BTreeMap<u64, &'static UnitArtifact> {
+        BTreeMap::new()
+    }
+
     #[test]
     fn fn_artifact_round_trip() {
         let a = sample_artifact();
-        let bytes = encode_fn_artifact(&a);
-        assert_eq!(decode_fn_artifact(&bytes), Some(a));
+        let file = read_back(&encode_fn_file(&a, &no_units())).expect("decodes");
+        assert_eq!(file.art, a);
+        assert_eq!(file.units.keys().count(), 0);
     }
 
     #[test]
     fn truncated_or_garbled_artifacts_are_misses() {
-        let bytes = encode_fn_artifact(&sample_artifact());
+        let bytes = encode_fn_file(&sample_artifact(), &no_units());
         for cut in [0, 4, 8, 9, bytes.len() / 2, bytes.len() - 1] {
-            assert_eq!(decode_fn_artifact(&bytes[..cut]), None, "cut at {cut}");
+            assert!(read_back(&bytes[..cut]).is_none(), "cut at {cut}");
         }
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] ^= 0xff;
-        assert_eq!(decode_fn_artifact(&wrong_magic), None);
+        assert!(read_back(&wrong_magic).is_none());
         let mut wrong_version = bytes.clone();
         wrong_version[4] ^= 0xff;
-        assert_eq!(decode_fn_artifact(&wrong_version), None);
+        assert!(read_back(&wrong_version).is_none());
         let mut trailing = bytes;
         trailing.push(0);
-        assert_eq!(
-            decode_fn_artifact(&trailing),
-            None,
-            "trailing bytes rejected"
-        );
+        assert!(read_back(&trailing).is_none(), "trailing bytes rejected");
     }
 
     #[test]
     fn any_flipped_bit_fails_the_checksum() {
         // Structural validation alone would accept flips that keep
-        // lengths/invariants intact but change a cycle count; the payload
-        // digest must reject *every* single-byte corruption.
-        let bytes = encode_fn_artifact(&sample_artifact());
+        // lengths/invariants intact but change a cycle count; the file
+        // digest must reject *every* single-byte corruption, in the front
+        // matter and in the units alike.
+        let unit = sample_unit(vec![0, 3, 0]);
+        let bytes = encode_fn_file(&sample_artifact(), &BTreeMap::from([(3, &unit)]));
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert_eq!(
-                decode_fn_artifact(&bad),
-                None,
-                "flip at byte {i} must read as a miss"
-            );
-        }
-        let unit_bytes = encode_unit_artifact(&sample_unit(vec![0, 3, 0]));
-        let machine = MachineConfig::simple();
-        for i in 0..unit_bytes.len() {
-            let mut bad = unit_bytes.clone();
             bad[i] ^= 0x01;
-            assert_eq!(
-                decode_unit_artifact(&bad, &machine),
-                None,
-                "flip at byte {i}"
-            );
+            assert!(read_back(&bad).is_none(), "flip at byte {i}");
         }
     }
 
-    /// IPET solutions round-trip inside their unit artifact, with and
-    /// without a first-miss column.
+    /// Units and their IPET solutions round-trip inside their function
+    /// file, with and without a first-miss column, each under its key.
     #[test]
     fn ipet_entry_round_trip() {
         let machine = MachineConfig::simple();
-        for first_miss in [vec![0, 0, 0], vec![0, 3, 0]] {
-            let unit = sample_unit(first_miss);
-            let bytes = encode_unit_artifact(&unit);
-            assert_eq!(decode_unit_artifact(&bytes, &machine), Some(unit));
-            assert_eq!(decode_fn_artifact(&bytes), None, "kind bytes are checked");
-        }
+        let (flat, persist) = (sample_unit(vec![0, 0, 0]), sample_unit(vec![0, 3, 0]));
+        let units = BTreeMap::from([(1, &flat), (2, &persist)]);
+        let file = read_back(&encode_fn_file(&sample_artifact(), &units)).expect("decodes");
+        assert_eq!(file.art, sample_artifact());
+        assert_eq!(file.units.keys().collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(file.units.get(1, &machine), Some(flat.clone()));
+        assert_eq!(file.units.get(2, &machine), Some(persist.clone()));
+        assert_eq!(file.units.get(3, &machine), None, "an absent key misses");
         // An all-zero first-miss column is not written.
-        assert!(
-            encode_unit_artifact(&sample_unit(vec![0, 0, 0])).len()
-                < encode_unit_artifact(&sample_unit(vec![0, 3, 0])).len()
-        );
+        let size = |unit: &UnitArtifact| {
+            encode_fn_file(&sample_artifact(), &BTreeMap::from([(1, unit)])).len()
+        };
+        assert!(size(&flat) < size(&persist));
     }
 
     #[test]
-    fn repeat_unit_lookups_are_served_from_memory() {
+    fn repeat_lookups_are_served_from_memory() {
         let dir = std::env::temp_dir().join(format!("wcet-incr-unit-mem-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let machine = MachineConfig::simple();
         let unit = sample_unit(vec![0, 0, 0]);
-        ArtifactCache::open(&dir).unwrap().store_unit(5, &unit);
-        let cache = ArtifactCache::open(&dir).unwrap();
-        assert_eq!(cache.lookup_unit(5, &machine), Some(unit.clone()));
-        fs::remove_file(cache.unit_path(5)).unwrap();
-        assert_eq!(
-            cache.lookup_unit(5, &machine),
-            Some(unit),
-            "the second lookup never went back to disk"
+        ArtifactCache::open(&dir).unwrap().store_fn(
+            5,
+            &sample_artifact(),
+            &BTreeMap::from([(9, &unit)]),
         );
+        let cache = ArtifactCache::open(&dir).unwrap();
+        let first = cache.lookup_fn(5).expect("stored");
+        assert_eq!(first.units.get(9, &machine), Some(unit.clone()));
+        fs::remove_file(cache.fn_path(5)).unwrap();
+        let second = cache
+            .lookup_fn(5)
+            .expect("the second lookup never went back to disk");
+        assert_eq!(second.art, sample_artifact());
+        assert_eq!(second.units.get(9, &machine), Some(unit));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1547,37 +1553,32 @@ mod tests {
             }),
             ..sample_artifact()
         };
-        let bytes = encode_fn_artifact(&artifact);
-        assert_eq!(decode_fn_artifact(&bytes), Some(artifact.clone()));
+        let bytes = encode_fn_file(&artifact, &no_units());
+        assert_eq!(read_back(&bytes).map(|f| f.art), Some(artifact.clone()));
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x20;
-            assert_eq!(decode_fn_artifact(&bad), None, "flip at {i}");
+            assert!(read_back(&bad).is_none(), "flip at {i}");
         }
         // The cache-less variant round-trips too.
         let none = FunctionArtifact {
             footprints: Some(FootprintArtifact::default()),
             ..sample_artifact()
         };
-        assert_eq!(
-            decode_fn_artifact(&encode_fn_artifact(&none)),
-            Some(none.clone())
-        );
-        assert_ne!(
-            encode_fn_artifact(&none),
-            encode_fn_artifact(&sample_artifact())
-        );
+        let none_bytes = encode_fn_file(&none, &no_units());
+        assert_eq!(read_back(&none_bytes).map(|f| f.art), Some(none));
+        assert_ne!(none_bytes, encode_fn_file(&sample_artifact(), &no_units()));
 
         // And the store/lookup path persists across instances.
         let dir = std::env::temp_dir().join(format!("wcet-incr-fp-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         {
-            let mut cache = ArtifactCache::open(&dir).unwrap();
-            assert_eq!(cache.lookup_fn(11), None);
-            cache.store_fn(11, &artifact);
+            let cache = ArtifactCache::open(&dir).unwrap();
+            assert!(cache.lookup_fn(11).is_none());
+            cache.store_fn(11, &artifact, &no_units());
         }
-        let mut cache = ArtifactCache::open(&dir).unwrap();
-        assert_eq!(cache.lookup_fn(11), Some(artifact));
+        let cache = ArtifactCache::open(&dir).unwrap();
+        assert_eq!(cache.lookup_fn(11).map(|f| f.art), Some(artifact));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1610,16 +1611,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wcet-incr-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let a = sample_artifact();
+        let art = |cache: &ArtifactCache, key| cache.lookup_fn(key).map(|f| f.art);
         {
-            let mut cache = ArtifactCache::open(&dir).unwrap();
-            assert_eq!(cache.lookup_fn(7), None);
-            cache.store_fn(7, &a);
-            assert_eq!(cache.lookup_fn(7), Some(a.clone()));
+            let cache = ArtifactCache::open(&dir).unwrap();
+            assert_eq!(art(&cache, 7), None);
+            cache.store_fn(7, &a, &no_units());
+            assert_eq!(art(&cache, 7), Some(a.clone()));
         }
         {
-            let mut cache = ArtifactCache::open(&dir).unwrap();
-            assert_eq!(cache.lookup_fn(7), Some(a), "artifact survived the process");
-            assert_eq!(cache.lookup_fn(8), None);
+            let cache = ArtifactCache::open(&dir).unwrap();
+            assert_eq!(art(&cache, 7), Some(a), "artifact survived the process");
+            assert_eq!(art(&cache, 8), None);
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1687,14 +1689,12 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         // Plant the leftovers before the first open: the open-time
         // sweep runs once per store root per process.
-        for sub in ArtifactCache::KINDS {
-            fs::create_dir_all(dir.join(sub)).unwrap();
-        }
+        fs::create_dir_all(dir.join("fn")).unwrap();
         // A pid far above any kernel pid_max: provably dead.
         let dead_pid = 4_000_000_000u32;
         let legacy = dir.join("fn").join(format!("aa.art.tmp.{dead_pid}"));
-        let seqed = dir.join("unit").join(format!("bb.unt.tmp.{dead_pid}.17"));
-        let garbled = dir.join("unit").join("cc.unt.tmp.notapid");
+        let seqed = dir.join("fn").join(format!("bb.art.tmp.{dead_pid}.17"));
+        let garbled = dir.join("fn").join("cc.art.tmp.notapid");
         let ours = dir
             .join("fn")
             .join(format!("dd.art.tmp.{}.3", std::process::id()));
@@ -1721,8 +1721,9 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let mut cache = ArtifactCache::open(&dir).unwrap();
         let artifact = sample_artifact();
+        let unit = sample_unit(vec![0, 0, 0]);
         for key in 1..=8u64 {
-            cache.store_fn(key, &artifact);
+            cache.store_fn(key, &artifact, &BTreeMap::from([(key, &unit)]));
         }
         let per_file = fs::metadata(cache.fn_path(1)).unwrap().len();
         // Backdate keys 1..=4 so they are the LRU tail; 1 is coldest.
@@ -1749,16 +1750,18 @@ mod tests {
         assert_eq!(stats.evicted, 4, "{stats}");
         assert_eq!(stats.bytes_after, per_file * 4);
         assert!(stats.bytes_after <= per_file * 6 / 4 * 3);
+        let machine = MachineConfig::simple();
         for key in 1..=4u64 {
             assert!(!cache.fn_path(key).exists(), "cold key {key} evicted");
-            assert_eq!(cache.lookup_fn(key), None, "mem copy evicted too");
+            assert!(
+                cache.lookup_fn(key).is_none(),
+                "held copy evicted too, units and all"
+            );
         }
         for key in 5..=8u64 {
-            assert_eq!(
-                cache.lookup_fn(key),
-                Some(artifact.clone()),
-                "warm key {key} survives"
-            );
+            let file = cache.lookup_fn(key).expect("warm key survives");
+            assert_eq!(file.art, artifact, "warm key {key} survives");
+            assert_eq!(file.units.get(key, &machine), Some(unit.clone()));
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1768,10 +1771,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wcet-incr-lru-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let artifact = sample_artifact();
-        {
-            let mut cache = ArtifactCache::open(&dir).unwrap();
-            cache.store_fn(42, &artifact);
-        }
+        ArtifactCache::open(&dir)
+            .unwrap()
+            .store_fn(42, &artifact, &no_units());
         let path = {
             let cache = ArtifactCache::open(&dir).unwrap();
             cache.fn_path(42)
@@ -1783,8 +1785,8 @@ mod tests {
             .unwrap()
             .set_modified(backdated)
             .unwrap();
-        let mut cache = ArtifactCache::open(&dir).unwrap();
-        assert_eq!(cache.lookup_fn(42), Some(artifact));
+        let cache = ArtifactCache::open(&dir).unwrap();
+        assert_eq!(cache.lookup_fn(42).map(|f| f.art), Some(artifact));
         let stamped = fs::metadata(&path).unwrap().modified().unwrap();
         assert!(
             stamped > backdated + std::time::Duration::from_secs(3600),
@@ -1793,8 +1795,11 @@ mod tests {
         // Relatime discipline: a hit on an already-fresh entry leaves
         // the stamp alone (no write-open per lookup in a busy daemon).
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let mut reopened = ArtifactCache::open(&dir).unwrap();
-        assert_eq!(reopened.lookup_fn(42), Some(sample_artifact()));
+        let reopened = ArtifactCache::open(&dir).unwrap();
+        assert_eq!(
+            reopened.lookup_fn(42).map(|f| f.art),
+            Some(sample_artifact())
+        );
         let restamped = fs::metadata(&path).unwrap().modified().unwrap();
         assert_eq!(restamped, stamped, "fresh stamps are not rewritten");
         let _ = fs::remove_dir_all(&dir);

@@ -183,6 +183,12 @@ impl<'a> Reader<'a> {
         String::from_utf8(self.take(n)?.to_vec()).ok()
     }
 
+    /// The offset of the next byte to be read.
+    #[must_use]
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
     /// True once every byte has been consumed.
     #[must_use]
     pub fn done(&self) -> bool {

@@ -275,33 +275,13 @@ impl CacheAnalysis {
     /// Instruction-cache analysis: classifies every fetch in `cfg`.
     #[must_use]
     pub fn instruction(cfg: &Cfg, config: &CacheConfig, memmap: &MemoryMap) -> CacheAnalysis {
-        CacheAnalysis::instruction_ctx(cfg, config, memmap, None).analysis
+        CacheAnalysis::instruction_with(cfg, config, memmap, &CacheCtx::default()).analysis
     }
 
-    /// [`CacheAnalysis::instruction`] with an explicit entry ACS pair
-    /// (the join of the caller states at this function's producing call
-    /// sites under one context); `None` = the cold pair. Also returns
-    /// the per-call-site ACS pairs for propagation into callees.
-    #[must_use]
-    pub fn instruction_ctx(
-        cfg: &Cfg,
-        config: &CacheConfig,
-        memmap: &MemoryMap,
-        entry: Option<&CacheStates>,
-    ) -> CtxCacheAnalysis {
-        CacheAnalysis::instruction_with(
-            cfg,
-            config,
-            memmap,
-            &CacheCtx {
-                entry,
-                ..CacheCtx::default()
-            },
-        )
-    }
-
-    /// [`CacheAnalysis::instruction_ctx`] with the full context inputs:
-    /// per-site callee footprints and the persistence instance.
+    /// [`CacheAnalysis::instruction`] with the context inputs (the entry
+    /// ACS pair, per-site callee footprints, and the persistence
+    /// instance). Also returns the per-call-site ACS pairs for
+    /// propagation into callees.
     #[must_use]
     pub fn instruction_with(
         cfg: &Cfg,
@@ -329,32 +309,10 @@ impl CacheAnalysis {
         memmap: &MemoryMap,
         accesses: &BTreeMap<Addr, Value>,
     ) -> CacheAnalysis {
-        CacheAnalysis::data_ctx(cfg, config, memmap, accesses, None).analysis
+        CacheAnalysis::data_with(cfg, config, memmap, accesses, &CacheCtx::default()).analysis
     }
 
-    /// [`CacheAnalysis::data`] with an explicit entry ACS pair; see
-    /// [`CacheAnalysis::instruction_ctx`].
-    #[must_use]
-    pub fn data_ctx(
-        cfg: &Cfg,
-        config: &CacheConfig,
-        memmap: &MemoryMap,
-        accesses: &BTreeMap<Addr, Value>,
-        entry: Option<&CacheStates>,
-    ) -> CtxCacheAnalysis {
-        CacheAnalysis::data_with(
-            cfg,
-            config,
-            memmap,
-            accesses,
-            &CacheCtx {
-                entry,
-                ..CacheCtx::default()
-            },
-        )
-    }
-
-    /// [`CacheAnalysis::data_ctx`] with the full context inputs; see
+    /// [`CacheAnalysis::data`] with the context inputs; see
     /// [`CacheAnalysis::instruction_with`].
     #[must_use]
     pub fn data_with(
@@ -716,7 +674,8 @@ mod tests {
         let caller_src = ".org 0x100000\nmain: nop\n call f\n halt\nf: ret";
         let caller_image = assemble(caller_src).unwrap();
         let cp = reconstruct(&caller_image, &TargetResolver::empty()).unwrap();
-        let caller = CacheAnalysis::instruction_ctx(cp.entry_cfg(), &config, &memmap, None);
+        let caller =
+            CacheAnalysis::instruction_with(cp.entry_cfg(), &config, &memmap, &CacheCtx::default());
         let (&site, pre_call) = caller.call_states.iter().next().unwrap();
         assert_eq!(site, caller_image.entry.offset(4));
 
@@ -724,8 +683,17 @@ mod tests {
         // under the propagated entry the leaf's first fetch hits.
         let f = caller_image.symbol("f").unwrap();
         let f_cfg = cp.cfg(f).unwrap();
-        let leaf_cold = CacheAnalysis::instruction_ctx(f_cfg, &config, &memmap, None);
-        let leaf_warm = CacheAnalysis::instruction_ctx(f_cfg, &config, &memmap, Some(pre_call));
+        let leaf_cold =
+            CacheAnalysis::instruction_with(f_cfg, &config, &memmap, &CacheCtx::default());
+        let leaf_warm = CacheAnalysis::instruction_with(
+            f_cfg,
+            &config,
+            &memmap,
+            &CacheCtx {
+                entry: Some(pre_call),
+                ..CacheCtx::default()
+            },
+        );
         let fb = f_cfg.entry_block();
         assert_eq!(
             leaf_cold.analysis.classification(fb, 0),
@@ -764,7 +732,8 @@ mod tests {
             footprints.insert(site, fp.clone());
         }
 
-        let clobbered = CacheAnalysis::instruction_ctx(cfg, &config, &memmap, None);
+        let clobbered =
+            CacheAnalysis::instruction_with(cfg, &config, &memmap, &CacheCtx::default());
         let summarized = CacheAnalysis::instruction_with(
             cfg,
             &config,
@@ -799,7 +768,7 @@ mod tests {
         let image = assemble(src).unwrap();
         let p = reconstruct(&image, &TargetResolver::empty()).unwrap();
         let cfg = p.entry_cfg();
-        let plain = CacheAnalysis::instruction_ctx(cfg, &config, &memmap, None);
+        let plain = CacheAnalysis::instruction_with(cfg, &config, &memmap, &CacheCtx::default());
         let persistent = CacheAnalysis::instruction_with(
             cfg,
             &config,

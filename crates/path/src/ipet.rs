@@ -150,32 +150,6 @@ pub fn wcet(
     facts: &[FlowFact],
     call_costs: &CallCosts,
 ) -> Result<WcetResult, PathError> {
-    wcet_with_stats(
-        cfg,
-        forest,
-        times,
-        bounds,
-        facts,
-        call_costs,
-        &mut LpStats::default(),
-    )
-}
-
-/// [`wcet`], accumulating solver effort counters into `stats`.
-///
-/// # Errors
-///
-/// See [`PathError`].
-#[allow(clippy::too_many_arguments)] // the stats sink rides along
-pub fn wcet_with_stats(
-    cfg: &Cfg,
-    forest: &LoopForest,
-    times: &BlockTimes,
-    bounds: &LoopBounds,
-    facts: &[FlowFact],
-    call_costs: &CallCosts,
-    stats: &mut LpStats,
-) -> Result<WcetResult, PathError> {
     wcet_full(
         cfg,
         forest,
@@ -184,14 +158,14 @@ pub fn wcet_with_stats(
         facts,
         call_costs,
         &BTreeMap::new(),
-        stats,
+        &mut LpStats::default(),
     )
 }
 
-/// [`wcet_with_stats`] with per-edge cycle penalties added to the
-/// objective (the pipeline analysis' static branch-misprediction
-/// charges: traversing a penalized edge costs its penalty times the
-/// edge's flow).
+/// [`wcet`] with per-edge cycle penalties added to the objective (the
+/// pipeline analysis' static branch-misprediction charges: traversing a
+/// penalized edge costs its penalty times the edge's flow), accumulating
+/// solver effort counters into `stats`.
 ///
 /// # Errors
 ///
@@ -234,32 +208,6 @@ pub fn bcet(
     facts: &[FlowFact],
     call_costs: &CallCosts,
 ) -> Result<WcetResult, PathError> {
-    bcet_with_stats(
-        cfg,
-        forest,
-        times,
-        bounds,
-        facts,
-        call_costs,
-        &mut LpStats::default(),
-    )
-}
-
-/// [`bcet`], accumulating solver effort counters into `stats`.
-///
-/// # Errors
-///
-/// See [`PathError`].
-#[allow(clippy::too_many_arguments)] // the stats sink rides along
-pub fn bcet_with_stats(
-    cfg: &Cfg,
-    forest: &LoopForest,
-    times: &BlockTimes,
-    bounds: &LoopBounds,
-    facts: &[FlowFact],
-    call_costs: &CallCosts,
-    stats: &mut LpStats,
-) -> Result<WcetResult, PathError> {
     bcet_full(
         cfg,
         forest,
@@ -268,11 +216,11 @@ pub fn bcet_with_stats(
         facts,
         call_costs,
         &BTreeMap::new(),
-        stats,
+        &mut LpStats::default(),
     )
 }
 
-/// [`bcet_with_stats`] with per-edge cycle penalties; see [`wcet_full`].
+/// [`bcet`] with per-edge cycle penalties; see [`wcet_full`].
 /// The minimizing sense charges them too — the BTFNT predictor is
 /// deterministic, so a mispredicted edge *always* pays its penalty and
 /// the lower bound stays exact.

@@ -4,14 +4,16 @@
 //! functions must be genuine artifact-cache hits, and only the mutated
 //! function plus its transitive callers may re-solve.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 
 use wcet_predictability::analysis::valueanalysis::compute_summaries;
 use wcet_predictability::core::analyzer::{AnalysisReport, AnalyzerConfig, WcetAnalyzer};
-use wcet_predictability::core::incr::{ArtifactCache, KeyContext};
+use wcet_predictability::core::incr::{ArtifactCache, FunctionArtifact, KeyContext, UnitArtifact};
 use wcet_predictability::core::workload;
+use wcet_predictability::isa::asm::assemble;
 use wcet_predictability::isa::cache::CacheConfig;
 use wcet_predictability::isa::interp::MachineConfig;
 use wcet_predictability::micro::CacheStates;
@@ -225,25 +227,23 @@ fn corrupted_cache_degrades_to_miss() {
             .analyze_incremental(&w.image, &mut cache)
             .expect("cold run");
     }
-    // Corrupt every stored function and unit artifact (solutions
-    // included) on disk: alternately by truncation (caught by
-    // length/digest checks) and by flipping a payload byte (caught by the
-    // digest alone — the bytes still parse).
-    for sub in ["fn", "unit"] {
-        for (i, entry) in std::fs::read_dir(tmp.dir.join(sub))
-            .expect("cache dir exists")
-            .enumerate()
-        {
-            let path = entry.expect("dir entry").path();
-            let mut bytes = std::fs::read(&path).expect("readable");
-            if i % 2 == 0 {
-                bytes.truncate(bytes.len() / 2);
-            } else {
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x20;
-            }
-            std::fs::write(&path, &bytes).expect("writable");
+    // Corrupt every stored function file (units and solutions included)
+    // on disk: alternately by truncation (caught by length/digest checks)
+    // and by flipping a payload byte (caught by the digest alone — the
+    // bytes still parse).
+    for (i, entry) in std::fs::read_dir(tmp.dir.join("fn"))
+        .expect("cache dir exists")
+        .enumerate()
+    {
+        let path = entry.expect("dir entry").path();
+        let mut bytes = std::fs::read(&path).expect("readable");
+        if i % 2 == 0 {
+            bytes.truncate(bytes.len() / 2);
+        } else {
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x20;
         }
+        std::fs::write(&path, &bytes).expect("writable");
     }
     let mut cache = tmp.open();
     let report = analyzer
@@ -272,26 +272,57 @@ fn corrupted_cache_degrades_to_miss() {
 }
 
 /// How [`bad_unit_artifacts_degrade_to_misses_and_are_overwritten`]
-/// damages a stored unit artifact.
+/// damages a stored function file.
 #[derive(Debug, Clone, Copy)]
 enum Damage {
-    /// Flip one payload byte (caught by the payload digest).
+    /// Flip one payload byte (caught by the file digest).
     Corrupt,
     /// Cut the file in half.
     Truncate,
-    /// Re-store it, validly sealed, with every call-site cache state
-    /// recorded under a different cache geometry.
+    /// Re-store it, validly sealed, with every unit's call-site cache
+    /// states recorded under a different cache geometry.
     Geometry,
 }
 
-/// Applies `damage` to the unit artifacts under `root`; returns how many
-/// files it changed.
-fn damage_units(root: &std::path::Path, damage: Damage, machine: &MachineConfig) -> usize {
+/// Every stored function file under `root`: key → front matter and
+/// decoded units.
+fn stored_files(
+    root: &Path,
+    machine: &MachineConfig,
+) -> BTreeMap<u64, (FunctionArtifact, BTreeMap<u64, UnitArtifact>)> {
     let cache = ArtifactCache::open(root).expect("cache opens");
+    std::fs::read_dir(root.join("fn"))
+        .expect("fn dir exists")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let stem = path.file_stem().and_then(|s| s.to_str()).expect("hex stem");
+            let key = u64::from_str_radix(stem, 16).expect("hex key");
+            let file = cache.lookup_fn(key).expect("valid file");
+            let units = file
+                .units
+                .keys()
+                .map(|k| (k, file.units.get(k, machine).expect("valid unit")))
+                .collect();
+            (key, (file.art, units))
+        })
+        .collect()
+}
+
+/// Re-stores one function file, validly sealed.
+fn restore(root: &Path, key: u64, art: &FunctionArtifact, units: &BTreeMap<u64, UnitArtifact>) {
+    let units = units.iter().map(|(&k, u)| (k, u)).collect();
+    ArtifactCache::open(root)
+        .expect("cache opens")
+        .store_fn(key, art, &units);
+}
+
+/// Applies `damage` to the function files under `root`; returns how many
+/// units it damaged (every unit of a corrupted or truncated file).
+fn damage_units(root: &Path, damage: Damage, machine: &MachineConfig) -> usize {
     let other = CacheConfig::new(4, 2, 16, 1);
     let mut damaged = 0;
-    for entry in std::fs::read_dir(root.join("unit")).expect("unit dir exists") {
-        let path = entry.expect("dir entry").path();
+    for (key, (art, mut units)) in stored_files(root, machine) {
+        let path = root.join("fn").join(format!("{key:016x}.art"));
         let mut bytes = std::fs::read(&path).expect("readable");
         match damage {
             Damage::Corrupt => {
@@ -300,29 +331,29 @@ fn damage_units(root: &std::path::Path, damage: Damage, machine: &MachineConfig)
             }
             Damage::Truncate => bytes.truncate(bytes.len() / 2),
             Damage::Geometry => {
-                let stem = path.file_stem().and_then(|s| s.to_str()).expect("hex stem");
-                let key = u64::from_str_radix(stem, 16).expect("hex key");
-                let mut artifact = cache.lookup_unit(key, machine).expect("valid artifact");
-                let Some(calls) = artifact.icache_calls.as_mut().filter(|c| !c.is_empty()) else {
-                    continue;
-                };
-                for states in calls.values_mut() {
-                    *states = CacheStates::cold(&other);
+                for unit in units.values_mut() {
+                    let Some(calls) = unit.icache_calls.as_mut().filter(|c| !c.is_empty()) else {
+                        continue;
+                    };
+                    for states in calls.values_mut() {
+                        *states = CacheStates::cold(&other);
+                    }
+                    damaged += 1;
                 }
-                cache.store_unit(key, &artifact);
-                damaged += 1;
+                restore(root, key, &art, &units);
                 continue;
             }
         }
         std::fs::write(&path, &bytes).expect("writable");
-        damaged += 1;
+        damaged += units.len();
     }
     damaged
 }
 
-/// Corrupt, truncated, and wrong-geometry unit artifacts each degrade to
-/// a miss: the unit is recomputed (the report stays exact) and the bad
-/// file is overwritten, so the next run replays every unit again.
+/// Corrupt and truncated function files, and units of the wrong cache
+/// geometry, each degrade to a miss: the damaged units are recomputed
+/// (the report stays exact) and the bad file is overwritten, so the next
+/// run replays every unit again.
 #[test]
 fn bad_unit_artifacts_degrade_to_misses_and_are_overwritten() {
     let w = workload::call_tree_heavy(2, 3, &[]);
@@ -390,35 +421,38 @@ fn store_layout(root: &std::path::Path) -> std::collections::BTreeMap<String, Ve
         .collect()
 }
 
-/// A cold run with a cache writes one function artifact per function and
-/// one unit artifact per distinct unit key — each unit carrying its own
-/// IPET solutions — and nothing else, at depth 0 and at depth 1.
+/// A cold run with a cache writes one file per function — each holding
+/// the function's units, each unit carrying its own IPET solutions — and
+/// nothing else, at depths 0, 1, and 2.
 #[test]
-fn cold_run_writes_one_file_per_function_and_per_unit() {
+fn cold_run_writes_one_file_per_function() {
     let w = workload::call_fanout_with(4, &[]);
-    for depth in [0, 1] {
+    for depth in [0, 1, 2] {
         let tmp = TempCache::new(&format!("layout-{depth}"));
-        let analyzer = WcetAnalyzer::with_config(AnalyzerConfig {
+        let config = AnalyzerConfig {
             context_depth: depth,
             ..AnalyzerConfig::new()
-        });
-        let cold = analyzer
+        };
+        let cold = WcetAnalyzer::with_config(config.clone())
             .analyze_incremental(&w.image, &mut tmp.open())
             .expect("cold run");
         let stats = cold.incr.expect("stats present");
         // `main` calls every leaf once: one context, with its own key,
-        // per function at either depth.
+        // per function at any depth.
         assert_eq!(stats.units_analyzed, stats.functions, "depth {depth}");
         let layout = store_layout(&tmp.dir);
         assert_eq!(
             layout.keys().collect::<Vec<_>>(),
-            ["fn", "unit"],
+            ["fn"],
             "depth {depth}: no other artifact kind"
         );
         assert_eq!(layout["fn"].len(), stats.functions, "depth {depth}");
-        assert_eq!(layout["unit"].len(), stats.units_analyzed, "depth {depth}");
         assert!(layout["fn"].iter().all(|f| f.ends_with(".art")));
-        assert!(layout["unit"].iter().all(|f| f.ends_with(".unt")));
+        let stored: usize = stored_files(&tmp.dir, &config.machine)
+            .values()
+            .map(|(_, units)| units.len())
+            .sum();
+        assert_eq!(stored, stats.units_analyzed, "depth {depth}");
     }
 }
 
@@ -444,13 +478,9 @@ fn damaged_unit_solutions_re_solve_and_heal() {
         let cold_stats = cold.incr.clone().expect("stats present");
         let reference = canonical(cold);
 
-        let cache = tmp.open();
         let mut damaged = 0;
-        for file in &store_layout(&tmp.dir)["unit"] {
-            let stem = file.strip_suffix(".unt").expect("unit file");
-            let key = u64::from_str_radix(stem, 16).expect("hex key");
-            let mut unit = cache.lookup_unit(key, &config.machine).expect("valid unit");
-            for solution in unit.solutions.values_mut() {
+        for (key, (art, mut units)) in stored_files(&tmp.dir, &config.machine) {
+            for solution in units.values_mut().flat_map(|u| u.solutions.values_mut()) {
                 if damaged % 2 == 0 {
                     solution.full_key ^= 1;
                 } else {
@@ -461,7 +491,7 @@ fn damaged_unit_solutions_re_solve_and_heal() {
                 }
                 damaged += 1;
             }
-            cache.store_unit(key, &unit);
+            restore(&tmp.dir, key, &art, &units);
         }
         assert!(damaged > 1, "depth {depth}: both kinds of damage applied");
 
@@ -509,14 +539,15 @@ fn function_artifact_without_footprints_misses_and_heals() {
     );
     let reference = canonical(cold);
 
-    let mut cache = tmp.open();
-    let mut artifact = cache.lookup_fn(key).expect("the cold run stored it");
+    let (mut artifact, units) = stored_files(&tmp.dir, &config.machine)
+        .remove(&key)
+        .expect("the cold run stored it");
     assert!(
         artifact.footprints.is_some(),
         "persistence runs record them"
     );
     artifact.footprints = None;
-    cache.store_fn(key, &artifact);
+    restore(&tmp.dir, key, &artifact, &units);
 
     let warm = analyzer
         .analyze_incremental(&w.image, &mut tmp.open())
@@ -527,7 +558,82 @@ fn function_artifact_without_footprints_misses_and_heals() {
 
     let healed = tmp.open().lookup_fn(key).expect("re-stored");
     assert!(
-        healed.footprints.is_some(),
+        healed.art.footprints.is_some(),
         "the store holds the footprints"
     );
+}
+
+/// A function's file holds the units of the last run that wrote it. At
+/// depth 1, editing the immediate `main` passes to `f` re-keys `f`'s one
+/// context: `f`'s function artifact still hits, the unit is analyzed
+/// afresh, and `f`'s file is rewritten to hold exactly that unit. Undoing
+/// the edit then re-analyzes `f`'s unit once (`main`'s old file still
+/// replays), and every report equals a fresh one.
+#[test]
+fn function_file_holds_the_last_runs_units() {
+    let image = |imm: u32| {
+        assemble(&format!(
+            r#"
+            main: li   r1, {imm}
+                  call f
+                  halt
+            f:    andi r1, r1, 63
+                  beq  r1, r0, done
+            loop: subi r1, r1, 1
+                  bne  r1, r0, loop
+            done: ret
+            "#
+        ))
+        .expect("assembles")
+    };
+    let config = AnalyzerConfig {
+        context_depth: 1,
+        ..AnalyzerConfig::new()
+    };
+    let analyzer = WcetAnalyzer::with_config(config.clone());
+    let tmp = TempCache::new("last-run");
+    let run = |image: &wcet_predictability::isa::Image| {
+        let report = analyzer
+            .analyze_incremental(image, &mut tmp.open())
+            .expect("cached run");
+        let f = image.symbol("f").expect("f");
+        let f_key = KeyContext::new(image, &config).function_key(
+            report.program.cfg(f).expect("reconstructed"),
+            &compute_summaries(&report.program),
+        );
+        let units: Vec<u64> = tmp
+            .open()
+            .lookup_fn(f_key)
+            .expect("f's file")
+            .units
+            .keys()
+            .collect();
+        let stats = report.incr.clone().expect("stats present");
+        let fresh = analyzer.analyze(image).expect("fresh run");
+        assert_eq!(canonical(report), canonical(fresh), "cached = fresh");
+        (stats, units)
+    };
+
+    let (cold, cold_units) = run(&image(5));
+    assert_eq!((cold.units_analyzed, cold.units_replayed), (2, 0));
+    assert_eq!(cold_units.len(), 1);
+
+    let (edited, edited_units) = run(&image(9));
+    assert_eq!(
+        (edited.fn_hits, edited.functions),
+        (1, 2),
+        "f hits: {edited:?}"
+    );
+    assert_eq!((edited.units_analyzed, edited.units_replayed), (2, 0));
+    assert_eq!(edited_units.len(), 1, "only this run's unit key is kept");
+    assert_ne!(edited_units, cold_units, "f's context was re-keyed");
+
+    let (undone, undone_units) = run(&image(5));
+    assert_eq!((undone.fn_hits, undone.functions), (2, 2), "{undone:?}");
+    assert_eq!(
+        (undone.units_analyzed, undone.units_replayed),
+        (1, 1),
+        "main replays; f's cold unit was replaced, so it re-analyzes: {undone:?}"
+    );
+    assert_eq!(undone_units, cold_units);
 }

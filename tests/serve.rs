@@ -465,14 +465,17 @@ fn racing_batch_processes_share_one_cache_without_corruption() {
         );
     }
     assert!(!stale_tmp.exists(), "stale tmp swept on cache open");
-    for kind in ["fn", "unit"] {
-        for entry in std::fs::read_dir(cache.join(kind)).expect("cache subdir") {
-            let name = entry.expect("entry").file_name();
-            assert!(
-                !name.to_string_lossy().contains(".tmp."),
-                "no tmp droppings after a clean race: {name:?}"
-            );
-        }
+    let kinds: Vec<_> = std::fs::read_dir(&cache)
+        .expect("cache root")
+        .map(|entry| entry.expect("entry").file_name())
+        .collect();
+    assert_eq!(kinds, ["fn"], "one artifact kind: one file per function");
+    for entry in std::fs::read_dir(cache.join("fn")).expect("cache subdir") {
+        let name = entry.expect("entry").file_name();
+        assert!(
+            !name.to_string_lossy().contains(".tmp."),
+            "no tmp droppings after a clean race: {name:?}"
+        );
     }
     // The store the racers left behind replays cleanly.
     let warm = wcet(&[
